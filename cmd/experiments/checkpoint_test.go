@@ -2,108 +2,27 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"recyclesim"
 	"recyclesim/internal/config"
-	"recyclesim/internal/obs"
-	"recyclesim/internal/stats"
+	"recyclesim/internal/fleet"
+	"recyclesim/internal/store"
 )
 
-// TestCheckpointRoundTrip: record then reload; restored cells carry
-// the exact statistics that were journaled.
-func TestCheckpointRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cells.jsonl")
-	cp, err := loadCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := &stats.Sim{Cycles: 123, Committed: 456, PerProgram: []uint64{456}}
-	m := &obs.Metrics{}
-	m.SlotCycles[obs.CauseIdle] = 99
-	if err := cp.record("k1", s, m); err != nil {
-		t.Fatal(err)
-	}
-	if err := cp.record("k2", &stats.Sim{Cycles: 7}, nil); err != nil {
-		t.Fatal(err)
-	}
-	cp.Close()
-
-	cp2, err := loadCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cp2.Close()
-	if cp2.resumed() != 2 {
-		t.Fatalf("resumed %d cells, want 2", cp2.resumed())
-	}
-	rec, ok := cp2.lookup("k1")
-	if !ok {
-		t.Fatal("k1 lost")
-	}
-	if rec.Stats.Cycles != 123 || rec.Stats.Committed != 456 || len(rec.Stats.PerProgram) != 1 {
-		t.Errorf("restored stats %+v", rec.Stats)
-	}
-	if rec.Metrics == nil || rec.Metrics.SlotCycles[obs.CauseIdle] != 99 {
-		t.Errorf("restored metrics %+v", rec.Metrics)
-	}
-	if _, ok := cp2.lookup("k3"); ok {
-		t.Error("phantom cell")
-	}
-}
-
-// TestCheckpointTornFinalLine: a kill mid-append leaves a truncated
-// last line; loading must keep every complete record and drop only the
-// torn one.
-func TestCheckpointTornFinalLine(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cells.jsonl")
-	cp, err := loadCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp.record("whole", &stats.Sim{Cycles: 1}, nil)
-	cp.Close()
-	f, _ := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	f.WriteString(`{"key":"torn","stats":{"Cyc`)
-	f.Close()
-
-	cp2, err := loadCheckpoint(path)
-	if err != nil {
-		t.Fatalf("torn final line rejected: %v", err)
-	}
-	defer cp2.Close()
-	if cp2.resumed() != 1 {
-		t.Errorf("resumed %d, want 1", cp2.resumed())
-	}
-	if _, ok := cp2.lookup("torn"); ok {
-		t.Error("torn record restored")
-	}
-}
-
-// TestCheckpointCorruptMiddleRejected: corruption anywhere but a torn
-// tail must fail loudly, not silently rerun and duplicate cells.
-func TestCheckpointCorruptMiddleRejected(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cells.jsonl")
-	os.WriteFile(path, []byte("not json\n{\"key\":\"k\",\"stats\":{}}\n"), 0o644)
-	if _, err := loadCheckpoint(path); err == nil {
-		t.Fatal("corrupt journal loaded")
-	}
-}
-
-// poisonedRunner builds a runner whose middle job names a workload
+// poisonedRunner builds a runner whose middle cell names a workload
 // that does not exist, so its cell fails at program construction.
 func poisonedRunner(keepGoing bool) *runner {
 	r := newRunner()
 	r.keepGoing = keepGoing
-	job := func(names ...string) simJob {
-		return simJob{mach: config.Big216(), feat: config.SMT, names: names, insts: 2_000}
+	cell := func(names ...string) store.Cell {
+		return store.Cell{Machine: config.Big216(), Features: config.SMT, Workloads: names, Insts: 2_000}
 	}
-	r.jobs = []simJob{job("compress"), job("nonesuch"), job("li")}
+	r.cells = []store.Cell{cell("compress"), cell("nonesuch"), cell("li")}
 	return r
 }
 
@@ -115,15 +34,15 @@ func TestComputeAllKeepGoing(t *testing.T) {
 	if r.errs[1] == nil {
 		t.Fatal("poisoned cell recorded no error")
 	}
-	if r.results[1] == nil || r.results[1].Committed != 0 {
+	if r.recs[1] == nil || r.recs[1].Stats.Committed != 0 {
 		t.Error("poisoned cell must print as zeros")
 	}
 	for _, i := range []int{0, 2} {
 		if r.errs[i] != nil {
 			t.Errorf("healthy cell %d failed: %v", i, r.errs[i])
 		}
-		if r.results[i].Committed < 2_000 {
-			t.Errorf("healthy cell %d committed %d", i, r.results[i].Committed)
+		if r.recs[i].Stats.Committed < 2_000 {
+			t.Errorf("healthy cell %d committed %d", i, r.recs[i].Stats.Committed)
 		}
 	}
 	failed := r.failedCells()
@@ -137,9 +56,9 @@ func TestComputeAllKeepGoing(t *testing.T) {
 // budgets are large enough that every cell crosses the poll cadence).
 func TestComputeAllFailFast(t *testing.T) {
 	r := poisonedRunner(false)
-	r.jobs[0], r.jobs[1] = r.jobs[1], r.jobs[0] // poison first
-	for i := range r.jobs {
-		r.jobs[i].insts = 100_000
+	r.cells[0], r.cells[1] = r.cells[1], r.cells[0] // poison first
+	for i := range r.cells {
+		r.cells[i].Insts = 100_000
 	}
 	r.computeAll(context.Background(), 1)
 	if r.errs[0] == nil {
@@ -153,133 +72,179 @@ func TestComputeAllFailFast(t *testing.T) {
 }
 
 // TestComputeAllRestoresFromCheckpoint: a second sweep over the same
-// cells must restore every result from the journal without
-// simulating, and the restored statistics must be byte-identical.
+// cells and the same -checkpoint store must restore every result
+// without simulating — zero computes by the store's own counters — and
+// the restored statistics must be byte-identical.
 func TestComputeAllRestoresFromCheckpoint(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cells.jsonl")
-	run := func() *runner {
-		r := newRunner()
-		cp, err := loadCheckpoint(path)
+	dir := t.TempDir()
+	run := func() (*runner, store.Counters) {
+		st, err := store.Open(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer cp.Close()
-		r.cp = cp
-		r.jobs = []simJob{
-			{mach: config.Big216(), feat: config.RECRSRU, names: []string{"compress"}, insts: 2_000},
-			{mach: config.Big18(), feat: config.TME, names: []string{"li"}, insts: 2_000},
+		r := newRunner()
+		r.store = st
+		r.cells = []store.Cell{
+			{Machine: config.Big216(), Features: config.RECRSRU, Workloads: []string{"compress"}, Insts: 2_000},
+			{Machine: config.Big18(), Features: config.TME, Workloads: []string{"li"}, Insts: 2_000},
 		}
 		r.computeAll(context.Background(), 2)
-		return r
+		return r, st.Counters()
 	}
-	first := run()
-	data1, _ := os.ReadFile(path)
-	second := run()
-	data2, _ := os.ReadFile(path)
-	if string(data1) != string(data2) {
-		t.Error("resumed sweep appended to a complete journal")
+	first, c1 := run()
+	second, c2 := run()
+	if c1.Computes != 2 || c1.DiskHits != 0 {
+		t.Errorf("first sweep counters %+v, want 2 computes", c1)
 	}
-	for i := range first.results {
-		a := fmt.Sprintf("%+v", *first.results[i])
-		b := fmt.Sprintf("%+v", *second.results[i])
+	if c2.Computes != 0 || c2.DiskHits != 2 {
+		t.Errorf("resumed sweep counters %+v, want 2 disk hits and 0 computes", c2)
+	}
+	if n := second.nRestored.Load(); n != 2 {
+		t.Errorf("resumed sweep restored %d cells, want 2", n)
+	}
+	for i := range first.recs {
+		a := fmt.Sprintf("%+v", *first.recs[i].Stats)
+		b := fmt.Sprintf("%+v", *second.recs[i].Stats)
 		if a != b {
 			t.Errorf("cell %d: restored stats differ from computed:\n %s\n %s", i, a, b)
 		}
 	}
 }
 
-// TestJournalKeysNeverCollideAcrossFlags: the journal key must change
-// whenever any identity-bearing flag changes — sampling schedule,
-// confidence level, or detailed vs. sampled mode — so a checkpoint
-// written under one configuration is never replayed for another.
-// (Regression: sampledCellKey once omitted the confidence level, so
-// resuming a -sampled sweep after changing -confidence replayed stale
-// IPCLo/IPCHi/CPIHalf bounds under the new label.)
-func TestJournalKeysNeverCollideAcrossFlags(t *testing.T) {
-	job := simJob{mach: config.Big216(), feat: config.RECRSRU, names: []string{"compress"}, insts: 20_000}
-	sampledKey := func(s recyclesim.Sampling) string {
-		r := newRunner()
-		r.sampling = s
-		return r.sampledCellKey(job)
+// sampledCell is the runner's sampled cell for one compress run under
+// the given schedule.
+func sampledCell(s store.Sampling, insts uint64) store.Cell {
+	r := newRunner()
+	r.sampling = &s
+	r.simSampled(config.Big216(), config.RECRSRU, []string{"compress"}, insts)
+	return r.cells[0]
+}
+
+func mustKey(t *testing.T, c store.Cell) string {
+	t.Helper()
+	key, err := c.Key()
+	if err != nil {
+		t.Fatal(err)
 	}
-	sched := recyclesim.Sampling{Period: 4_000, IntervalLen: 400, WarmupLen: 400}
+	return key
+}
+
+// sampledJSON executes c and returns its SampledResult as JSON, the
+// bytes a store record would hold.
+func sampledJSON(t *testing.T, c store.Cell) string {
+	t.Helper()
+	rec, err := fleet.Execute(context.Background(), c)
+	if err != nil {
+		t.Fatalf("execute %s: %v", c.Name(), err)
+	}
+	raw, err := json.Marshal(rec.Sampled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(raw)
+}
+
+// TestJournalKeysNeverCollideAcrossFlags: the cell key (the address of
+// a -checkpoint store record) must change whenever an identity-bearing
+// flag changes — sampling schedule, confidence level, or detailed vs.
+// sampled mode — so a record written under one configuration is never
+// replayed for another.  (Regression: the journal this store replaced
+// once omitted the confidence level, so resuming a -sampled sweep after
+// changing -confidence replayed stale IPCLo/IPCHi/CPIHalf bounds under
+// the new label.)  An unset field and its spelled-out default share a
+// key by design; the run is byte-identical either way, which is what
+// makes sharing the record sound.
+func TestJournalKeysNeverCollideAcrossFlags(t *testing.T) {
+	detailed := store.Cell{Machine: config.Big216(), Features: config.RECRSRU, Workloads: []string{"compress"}, Insts: 20_000}
+	sched := store.Sampling{Period: 4_000, IntervalLen: 400, WarmupLen: 400}
+	with := func(mutate func(*store.Sampling)) string {
+		s := sched
+		mutate(&s)
+		return mustKey(t, sampledCell(s, 20_000))
+	}
 	variants := []struct {
 		name string
 		key  string
 	}{
-		{"detailed", cellKey(job)},
-		{"sampled default confidence", sampledKey(sched)},
-		{"sampled confidence 0.95", sampledKey(func() recyclesim.Sampling { s := sched; s.Confidence = 0.95; return s }())},
-		{"sampled confidence 0.99", sampledKey(func() recyclesim.Sampling { s := sched; s.Confidence = 0.99; return s }())},
-		{"sampled other period", sampledKey(func() recyclesim.Sampling { s := sched; s.Period = 8_000; return s }())},
-		{"sampled other interval", sampledKey(func() recyclesim.Sampling { s := sched; s.IntervalLen = 800; return s }())},
-		{"sampled other warmup", sampledKey(func() recyclesim.Sampling { s := sched; s.WarmupLen = 800; return s }())},
+		{"detailed", mustKey(t, detailed)},
+		{"sampled default confidence", with(func(*store.Sampling) {})},
+		{"sampled confidence 0.99", with(func(s *store.Sampling) { s.Confidence = 0.99 })},
+		{"sampled confidence 0.90", with(func(s *store.Sampling) { s.Confidence = 0.90 })},
+		{"sampled other period", with(func(s *store.Sampling) { s.Period = 8_000 })},
+		{"sampled other interval", with(func(s *store.Sampling) { s.IntervalLen = 800 })},
+		{"sampled other warmup", with(func(s *store.Sampling) { s.WarmupLen = 800 })},
 	}
 	for i, a := range variants {
 		for _, b := range variants[i+1:] {
 			if a.key == b.key {
-				t.Errorf("%s and %s share journal key %q", a.name, b.name, a.key)
+				t.Errorf("%s and %s share cell key %q", a.name, b.name, a.key)
 			}
 		}
 	}
+
+	// Shared by design: confidence unset vs. 0.95, and an all-zero
+	// schedule vs. the defaults spelled out.
+	if a, b := with(func(*store.Sampling) {}), with(func(s *store.Sampling) { s.Confidence = 0.95 }); a != b {
+		t.Errorf("unset confidence and 0.95 key differently: %q vs %q", a, b)
+	}
+	zero := sampledCell(store.Sampling{}, 60_000)
+	spelled := sampledCell(store.Sampling{Period: 20_000, IntervalLen: 1_000, WarmupLen: 1_000, Confidence: 0.95}, 60_000)
+	if a, b := mustKey(t, zero), mustKey(t, spelled); a != b {
+		t.Errorf("zero schedule and spelled-out defaults key differently: %q vs %q", a, b)
+	}
+	if a, b := sampledJSON(t, zero), sampledJSON(t, spelled); a != b {
+		t.Errorf("zero schedule and spelled-out defaults share a key but not a result:\n %s\n %s", a, b)
+	}
 }
 
-// TestSampledJournalNotReplayedAcrossFlagChanges: a sampled cell
-// journaled under one schedule/confidence must be restored only by a
-// sweep with the identical flags; any change misses and resimulates.
+// TestSampledJournalNotReplayedAcrossFlagChanges: a sampled cell stored
+// under one schedule/confidence must be restored only by a sweep whose
+// flags key the same cell; any identity change misses and resimulates.
+// Leaving the confidence unset keys like its default, 0.95, and the
+// two runs are byte-identical, so that replay is correct.
 func TestSampledJournalNotReplayedAcrossFlagChanges(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cells.jsonl")
-	job := simJob{mach: config.Big216(), feat: config.RECRSRU, names: []string{"compress"}, insts: 20_000}
-	base := recyclesim.Sampling{Period: 4_000, IntervalLen: 400, WarmupLen: 400, Confidence: 0.95}
-
-	cp, err := loadCheckpoint(path)
+	st, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rbase := newRunner()
-	rbase.sampling = base
-	if err := cp.recordSampled(rbase.sampledCellKey(job), &recyclesim.SampledResult{IPC: 1.5}); err != nil {
+	base := store.Sampling{Period: 4_000, IntervalLen: 400, WarmupLen: 400, Confidence: 0.95}
+	if err := st.Put(mustKey(t, sampledCell(base, 20_000)), &store.Record{Sampled: &recyclesim.SampledResult{IPC: 1.5}}); err != nil {
 		t.Fatal(err)
 	}
-	cp.Close()
 
 	cases := []struct {
 		name       string
-		mutate     func(*recyclesim.Sampling)
+		mutate     func(*store.Sampling)
 		wantReplay bool
 	}{
-		{"identical flags", func(*recyclesim.Sampling) {}, true},
-		{"changed confidence", func(s *recyclesim.Sampling) { s.Confidence = 0.99 }, false},
-		{"default (unset) confidence", func(s *recyclesim.Sampling) { s.Confidence = 0 }, false},
-		{"changed period", func(s *recyclesim.Sampling) { s.Period = 8_000 }, false},
-		{"changed interval", func(s *recyclesim.Sampling) { s.IntervalLen = 800 }, false},
-		{"changed warmup", func(s *recyclesim.Sampling) { s.WarmupLen = 800 }, false},
+		{"identical flags", func(*store.Sampling) {}, true},
+		{"changed confidence", func(s *store.Sampling) { s.Confidence = 0.99 }, false},
+		{"default (unset) confidence", func(s *store.Sampling) { s.Confidence = 0 }, true},
+		{"changed period", func(s *store.Sampling) { s.Period = 8_000 }, false},
+		{"changed interval", func(s *store.Sampling) { s.IntervalLen = 800 }, false},
+		{"changed warmup", func(s *store.Sampling) { s.WarmupLen = 800 }, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cp2, err := loadCheckpoint(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer cp2.Close()
-			r := newRunner()
-			r.sampling = base
-			tc.mutate(&r.sampling)
-			_, ok := cp2.lookup(r.sampledCellKey(job))
+			s := base
+			tc.mutate(&s)
+			c := sampledCell(s, 20_000)
+			_, ok := st.Get(mustKey(t, c))
 			if ok != tc.wantReplay {
-				t.Errorf("replay = %v, want %v (key %q)", ok, tc.wantReplay, r.sampledCellKey(job))
+				t.Errorf("replay = %v, want %v (key %q)", ok, tc.wantReplay, mustKey(t, c))
+			}
+			if ok && s != base {
+				if a, b := sampledJSON(t, c), sampledJSON(t, sampledCell(base, 20_000)); a != b {
+					t.Errorf("replayed across %s, but the runs differ:\n %s\n %s", tc.name, a, b)
+				}
 			}
 		})
 	}
 
 	// The detailed cell of the same configuration must never see the
 	// sampled record either.
-	cp3, err := loadCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cp3.Close()
-	if _, ok := cp3.lookup(cellKey(job)); ok {
+	detailed := store.Cell{Machine: config.Big216(), Features: config.RECRSRU, Workloads: []string{"compress"}, Insts: 20_000}
+	if _, ok := st.Get(mustKey(t, detailed)); ok {
 		t.Error("detailed cell key collides with a sampled record")
 	}
 }

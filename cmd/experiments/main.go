@@ -40,16 +40,18 @@ import (
 
 	"recyclesim"
 	"recyclesim/internal/config"
+	"recyclesim/internal/fleet"
 	"recyclesim/internal/obs"
 	"recyclesim/internal/obs/server"
 	"recyclesim/internal/stats"
+	"recyclesim/internal/store"
 	"recyclesim/internal/sweep"
 	"recyclesim/internal/workload"
 )
 
 func main() {
 	// SIGINT cancels the sweep cooperatively: in-flight cells stop at
-	// their next poll, completed cells stay journaled in -checkpoint,
+	// their next poll, completed cells stay in the -checkpoint store,
 	// and the harness flushes whatever finished before exiting nonzero.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
@@ -77,7 +79,7 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	progress := fs.Bool("progress", false, "print a single-line in-place progress meter to stderr")
 	obsListen := fs.String("obs-listen", "", "serve /metrics, /progress, /healthz and pprof on this address during the sweep (e.g. \":0\")")
 	keepGoing := fs.Bool("keep-going", false, "keep computing remaining cells after a cell fails (failed cells print as zeros; exit stays nonzero)")
-	checkpointPath := fs.String("checkpoint", "", "journal completed cells to this file and resume from it, skipping cells it already holds")
+	checkpointPath := fs.String("checkpoint", "", "memoize cells in a result store at this directory (the layout recycled -store serves): cells already there are read back instead of simulated, and fresh ones are saved as they land")
 	remote := fs.String("remote", "", "run the sweep on a recycled job server at this base URL instead of simulating locally (failed cells print as zeros, like -keep-going)")
 	remoteToken := fs.String("remote-token", "", "bearer token for the job server (required when recycled runs with -token)")
 	traceOut := fs.String("trace-out", "", "save the remote job's request trace (Chrome trace_event JSON, for Perfetto) to this file (requires -remote)")
@@ -108,7 +110,7 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	if *remote != "" && *checkpointPath != "" {
-		fmt.Fprintln(stderr, "experiments: -remote and -checkpoint are mutually exclusive (the server's durable store already journals every cell)")
+		fmt.Fprintln(stderr, "experiments: -remote and -checkpoint are mutually exclusive (the server's store already memoizes every cell; run recycled -store on the -checkpoint directory to share it)")
 		return 2
 	}
 	if *remote != "" && *crashDir != "" {
@@ -155,10 +157,9 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	// Pass 1: dry-run the print functions against io.Discard to collect
 	// the distinct simulation cells they need.
 	r := newRunner()
-	r.withMetrics = *metrics != ""
 	r.keepGoing = *keepGoing
 	r.crashDir = *crashDir
-	r.sampling = recyclesim.Sampling{
+	r.sampling = &store.Sampling{
 		Period:      *samplePeriod,
 		IntervalLen: *sampleInterval,
 		WarmupLen:   *sampleWarmup,
@@ -170,17 +171,12 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if *checkpointPath != "" {
-		cp, err := loadCheckpoint(*checkpointPath)
+		st, err := store.Open(*checkpointPath)
 		if err != nil {
-			fmt.Fprintf(stderr, "experiments: -checkpoint: %v\n", err)
+			fmt.Fprintf(stderr, "experiments: -checkpoint: %v (it names a store directory; older JSONL journals are not read)\n", err)
 			return 2
 		}
-		defer cp.Close()
-		r.cp = cp
-		if n := cp.resumed(); n > 0 {
-			fmt.Fprintf(stderr, "experiments: resuming from %s (%d completed cell(s) on file)\n",
-				*checkpointPath, n)
-		}
+		r.store = st
 	}
 
 	// Live observation (all writes go to stderr or the HTTP listener,
@@ -215,6 +211,17 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if remoteErr != nil {
 		fmt.Fprintf(stderr, "experiments: -remote: %v\n", remoteErr)
 		return 2
+	}
+	if r.store != nil {
+		// One accounting line on stderr, in the same shape as -remote's:
+		// a rerun of an unchanged sweep shows computes=0.
+		c := r.store.Counters()
+		fmt.Fprintf(stderr, "experiments: checkpoint: dir=%s cells=%d hits=%d computes=%d corrupt=%d\n",
+			r.store.Dir(), len(r.cells), c.DiskHits+c.FlightShares, c.Computes, c.Corrupt)
+		if c.PutErrors > 0 {
+			// The results above are intact; only resumability is lost.
+			fmt.Fprintf(stderr, "experiments: checkpoint: %d computed cell(s) could not be saved\n", c.PutErrors)
+		}
 	}
 
 	// Pass 3: re-run the print functions for real, replaying memoized
@@ -251,7 +258,7 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	exit := 0
 	if failed := r.failedCells(); len(failed) > 0 {
 		exit = 1
-		fmt.Fprintf(stderr, "experiments: %d of %d cell(s) failed:\n", len(failed), len(r.jobs)+len(r.jobsSamp))
+		fmt.Fprintf(stderr, "experiments: %d of %d cell(s) failed:\n", len(failed), len(r.cells))
 		for _, line := range failed {
 			fmt.Fprintf(stderr, "  %s\n", line)
 		}
@@ -259,28 +266,11 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if ctx.Err() != nil {
 		exit = 1
 		fmt.Fprintln(stderr, "experiments: interrupted; results above cover completed cells only")
-		if r.cp != nil {
-			fmt.Fprintln(stderr, "experiments: completed cells are journaled; rerun with the same -checkpoint to resume")
+		if r.store != nil {
+			fmt.Fprintln(stderr, "experiments: completed cells are in the -checkpoint store; rerun with the same -checkpoint to resume")
 		}
 	}
 	return exit
-}
-
-// simKey identifies one simulation cell.  config.Features is a flat
-// comparable struct, so the key can embed it directly.
-type simKey struct {
-	mach  string
-	feat  config.Features
-	names string
-	insts uint64
-}
-
-// simJob carries the inputs needed to execute a cell.
-type simJob struct {
-	mach  config.Machine
-	feat  config.Features
-	names []string
-	insts uint64
 }
 
 // runner memoizes simulation cells across a collect pass and a replay
@@ -288,28 +278,24 @@ type simJob struct {
 // result (the caller is printing to io.Discard); after computeAll,
 // sim() replays the memoized result.
 type runner struct {
-	collect     bool
-	withMetrics bool
-	keepGoing   bool
-	crashDir    string
-	cp          *checkpoint
-	seen        map[simKey]int
-	jobs        []simJob
-	results     []*stats.Sim
-	metrics     []*obs.Metrics
-	errs        []error
+	collect   bool
+	keepGoing bool
+	crashDir  string
+	// store, when non-nil, is the -checkpoint memo: cells already in it
+	// are read back instead of simulated, fresh ones are saved there.
+	store *store.Store
+	// sampling is the schedule every sampled cell of this invocation
+	// carries (zero fields select the simulator defaults).
+	sampling *store.Sampling
 
-	// Sampled cells are memoized separately: same identity space plus
-	// the sampling schedule (fixed per invocation, carried in sampling).
-	sampling    recyclesim.Sampling
-	seenSamp    map[simKey]int
-	jobsSamp    []simJob
-	resultsSamp []*recyclesim.SampledResult
-	errsSamp    []error
+	seen  map[string]int // cell identity -> index into cells
+	cells []store.Cell
+	recs  []*store.Record
+	errs  []error
 
 	// nComputed/nRestored split the completed cells for the meter's
 	// final accounting line: simulated here versus served from the
-	// checkpoint journal (local) or the server's store (remote).
+	// -checkpoint store (local) or the server's store (remote).
 	nComputed atomic.Int64
 	nRestored atomic.Int64
 
@@ -323,184 +309,131 @@ type runner struct {
 }
 
 func newRunner() *runner {
-	return &runner{collect: true, seen: make(map[simKey]int), seenSamp: make(map[simKey]int)}
+	return &runner{collect: true, seen: make(map[string]int)}
 }
 
 func (r *runner) sim(mach config.Machine, feat config.Features, names []string, insts uint64) *stats.Sim {
-	k := simKey{mach: mach.Name, feat: feat, names: strings.Join(names, "+"), insts: insts}
-	i, ok := r.seen[k]
-	if r.collect {
-		if !ok {
-			r.seen[k] = len(r.jobs)
-			r.jobs = append(r.jobs, simJob{mach: mach, feat: feat, names: names, insts: insts})
-		}
-		return &stats.Sim{}
-	}
-	if !ok {
-		panic(fmt.Sprintf("experiments: cell %+v not collected", k))
-	}
-	return r.results[i]
+	return r.memo(store.Cell{Machine: mach, Features: feat, Workloads: names, Insts: insts}).Stats
 }
 
-// simSampled is sim() for sampled cells: collect mode records the cell
-// and returns a zero estimate, replay mode returns the memoized result.
+// simSampled is sim() for sampled cells, run under r.sampling.
 func (r *runner) simSampled(mach config.Machine, feat config.Features, names []string, insts uint64) *recyclesim.SampledResult {
-	k := simKey{mach: mach.Name, feat: feat, names: strings.Join(names, "+"), insts: insts}
-	i, ok := r.seenSamp[k]
+	return r.memo(store.Cell{Machine: mach, Features: feat, Workloads: names, Insts: insts, Sampling: r.sampling}).Sampled
+}
+
+// memo is the collect/replay switch: collect mode records c (once per
+// distinct cell) and returns a zero record, replay mode returns c's
+// landed record.  Machine and Features are flat structs, so their
+// rendering covers custom knob combinations sharing a legend name;
+// every sampled cell carries r.sampling, so sampled-or-not completes
+// the identity.
+func (r *runner) memo(c store.Cell) *store.Record {
+	id := fmt.Sprint(c.Machine, c.Features, c.Workloads, c.Insts, c.Sampling != nil)
+	i, ok := r.seen[id]
 	if r.collect {
 		if !ok {
-			r.seenSamp[k] = len(r.jobsSamp)
-			r.jobsSamp = append(r.jobsSamp, simJob{mach: mach, feat: feat, names: names, insts: insts})
+			r.seen[id] = len(r.cells)
+			r.cells = append(r.cells, c)
 		}
-		return &recyclesim.SampledResult{}
+		return filled(nil)
 	}
 	if !ok {
-		panic(fmt.Sprintf("experiments: sampled cell %+v not collected", k))
+		panic(fmt.Sprintf("experiments: cell %s not collected", id))
 	}
-	return r.resultsSamp[i]
+	return r.recs[i]
 }
 
-// cellKey renders a cell's full identity (the %+v of the flat Features
-// struct covers custom knob combinations that share a figure-legend
-// name) for the checkpoint journal.
-func cellKey(j simJob) string {
-	return fmt.Sprintf("%s|%+v|%s|%d", j.mach.Name, j.feat, strings.Join(j.names, "+"), j.insts)
+// filled returns a copy of rec (nil for none) whose Stats, Metrics and
+// Sampled are all non-nil, so a failed or partial cell prints as zeros.
+func filled(rec *store.Record) *store.Record {
+	var out store.Record
+	if rec != nil {
+		out = *rec
+	}
+	if out.Stats == nil {
+		out.Stats = &stats.Sim{}
+	}
+	if out.Metrics == nil {
+		out.Metrics = &obs.Metrics{}
+	}
+	if out.Sampled == nil {
+		out.Sampled = &recyclesim.SampledResult{}
+	}
+	return &out
 }
 
-// sampledCellKey is cellKey for sampled cells: the sampling schedule
-// *and confidence level* join the identity so a sampled cell never
-// collides with the full detailed cell of the same configuration, with
-// a sampled cell run under a different schedule, or with one whose
-// bounds were computed at a different confidence.  (Confidence was
-// missing from the key until journal schema v2; see EXPERIMENTS.md —
-// without it, resuming after changing -confidence replayed stale
-// IPCLo/IPCHi/CPIHalf bounds under the new label.)
-func (r *runner) sampledCellKey(j simJob) string {
-	return fmt.Sprintf("sampled|%d-%d-%d|c%g|%s",
-		r.sampling.Period, r.sampling.IntervalLen, r.sampling.WarmupLen,
-		r.sampling.Confidence, cellKey(j))
+// startResults sizes the per-cell result slots before a compute pass.
+func (r *runner) startResults() {
+	r.recs = make([]*store.Record, len(r.cells))
+	r.errs = make([]error, len(r.cells))
+	if r.prog != nil {
+		r.prog.SetTotal(len(r.cells))
+	}
+}
+
+// land records cell i's outcome, from either compute pass: a failed
+// cell keeps its error and prints as zeros; progress, the /metrics
+// publisher and the computed/restored split see every landed cell.
+func (r *runner) land(i int, rec *store.Record, cached bool, err error) {
+	c := r.cells[i]
+	switch {
+	case err != nil:
+		r.errs[i], rec = err, nil
+	case cached:
+		r.nRestored.Add(1)
+	default:
+		r.nComputed.Add(1)
+	}
+	r.recs[i] = filled(rec)
+	if err == nil && c.Sampling == nil && r.publish != nil {
+		r.publish(r.recs[i].Stats, r.recs[i].Metrics)
+	}
+	if r.prog != nil {
+		insts := r.recs[i].Stats.Committed
+		if c.Sampling != nil {
+			insts = r.recs[i].Sampled.MeasuredInsts
+		}
+		r.prog.FinishCell(insts)
+	}
 }
 
 // computeAll executes every collected cell across the worker pool with
 // per-cell fault containment: a failed cell records its error and a
 // zero result (so the replay pass still prints), and unless keepGoing
 // is set the first failure cancels the cells still queued or running.
-// Cells found in the checkpoint journal are restored instead of
-// simulated; fresh completions are journaled as they land.
+// Sampled cells share the pool; fleet.Execute pins each one's interval
+// fan-out to a single thread, so parallelism lives at the cell level.
 func (r *runner) computeAll(ctx context.Context, workers int) {
-	r.results = make([]*stats.Sim, len(r.jobs))
-	r.metrics = make([]*obs.Metrics, len(r.jobs))
-	r.errs = make([]error, len(r.jobs))
-	r.resultsSamp = make([]*recyclesim.SampledResult, len(r.jobsSamp))
-	r.errsSamp = make([]error, len(r.jobsSamp))
-	if r.prog != nil {
-		r.prog.SetTotal(len(r.jobs) + len(r.jobsSamp))
-	}
+	r.startResults()
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	sweep.Run(len(r.jobs), workers, func(i int) {
-		j := r.jobs[i]
-		if r.cp != nil {
-			if rec, ok := r.cp.lookup(cellKey(j)); ok {
-				r.results[i], r.metrics[i] = rec.Stats, rec.Metrics
-				if r.metrics[i] == nil {
-					r.metrics[i] = &obs.Metrics{}
-				}
-				if r.prog != nil {
-					r.prog.StartCell(j.mach.Name + "/" + config.FeatureName(j.feat) + "/" + strings.Join(j.names, "+"))
-					r.prog.FinishCell(rec.Stats.Committed)
-				}
-				if r.publish != nil {
-					r.publish(r.results[i], r.metrics[i])
-				}
-				r.nRestored.Add(1)
-				return
-			}
-		}
+	sweep.Run(len(r.cells), workers, func(i int) {
 		if r.prog != nil {
-			r.prog.StartCell(j.mach.Name + "/" + config.FeatureName(j.feat) + "/" + strings.Join(j.names, "+"))
+			r.prog.StartCell(r.cells[i].Name())
 		}
-		s, m, err := runSim(ctx, j, r.withMetrics, r.crashDir)
-		if err != nil {
-			r.errs[i] = err
-			r.results[i], r.metrics[i] = &stats.Sim{}, &obs.Metrics{}
-			if !r.keepGoing {
-				cancel()
-			}
-			if r.prog != nil {
-				r.prog.FinishCell(0)
-			}
-			return
+		rec, cached, err := r.compute(ctx, r.cells[i])
+		if err != nil && !r.keepGoing {
+			cancel()
 		}
-		r.results[i], r.metrics[i] = s, m
-		r.nComputed.Add(1)
-		if r.cp != nil {
-			if werr := r.cp.record(cellKey(j), s, m); werr != nil {
-				// The in-memory result is intact; only resumability of
-				// this one cell is lost.
-				r.errs[i] = fmt.Errorf("checkpoint append: %w", werr)
-			}
-		}
-		if r.prog != nil {
-			r.prog.FinishCell(s.Committed)
-		}
-		if r.publish != nil {
-			r.publish(s, m)
-		}
-	})
-	// Sampled cells run on the same pool; each cell's interval fan-out
-	// stays single-threaded (Workers: 1) so parallelism lives at the
-	// cell level and the pool is never oversubscribed.  Results are
-	// worker-count invariant either way.
-	sweep.Run(len(r.jobsSamp), workers, func(i int) {
-		j := r.jobsSamp[i]
-		key := r.sampledCellKey(j)
-		if r.cp != nil {
-			if rec, ok := r.cp.lookup(key); ok && rec.Sampled != nil {
-				r.resultsSamp[i] = rec.Sampled
-				if r.prog != nil {
-					r.prog.StartCell("sampled/" + j.mach.Name + "/" + config.FeatureName(j.feat) + "/" + strings.Join(j.names, "+"))
-					r.prog.FinishCell(rec.Sampled.MeasuredInsts)
-				}
-				r.nRestored.Add(1)
-				return
-			}
-		}
-		if r.prog != nil {
-			r.prog.StartCell("sampled/" + j.mach.Name + "/" + config.FeatureName(j.feat) + "/" + strings.Join(j.names, "+"))
-		}
-		samp := r.sampling
-		samp.Workers = 1
-		res, err := recyclesim.RunSampledContext(ctx, recyclesim.Options{
-			Machine:   j.mach,
-			Features:  j.feat,
-			Workloads: j.names,
-			MaxInsts:  j.insts,
-			Sampling:  &samp,
-		})
-		if err != nil {
-			r.errsSamp[i] = err
-			r.resultsSamp[i] = &recyclesim.SampledResult{}
-			if !r.keepGoing {
-				cancel()
-			}
-			if r.prog != nil {
-				r.prog.FinishCell(0)
-			}
-			return
-		}
-		r.resultsSamp[i] = res
-		r.nComputed.Add(1)
-		if r.cp != nil {
-			if werr := r.cp.recordSampled(key, res); werr != nil {
-				r.errsSamp[i] = fmt.Errorf("checkpoint append: %w", werr)
-			}
-		}
-		if r.prog != nil {
-			r.prog.FinishCell(res.MeasuredInsts)
-		}
+		r.land(i, rec, cached, err)
 	})
 	r.collect = false
+}
+
+// compute runs one cell through the one executor, fleet.Execute —
+// behind the -checkpoint store when there is one, so a cell already on
+// file is read back (cached) and a fresh one is saved as it lands.
+func (r *runner) compute(ctx context.Context, c store.Cell) (rec *store.Record, cached bool, err error) {
+	exec := func() (*store.Record, error) { return fleet.ExecuteCrashDir(ctx, c, r.crashDir) }
+	if r.store == nil {
+		rec, err = exec()
+		return rec, false, err
+	}
+	key, err := c.Key()
+	if err != nil {
+		return nil, false, err
+	}
+	return r.store.GetOrCompute(key, exec)
 }
 
 // failedCells renders one line per failed cell for the stderr summary.
@@ -508,12 +441,7 @@ func (r *runner) failedCells() []string {
 	var out []string
 	for i, err := range r.errs {
 		if err != nil {
-			out = append(out, fmt.Sprintf("cell %s: %v", cellKey(r.jobs[i]), firstLine(err.Error())))
-		}
-	}
-	for i, err := range r.errsSamp {
-		if err != nil {
-			out = append(out, fmt.Sprintf("cell %s: %v", r.sampledCellKey(r.jobsSamp[i]), firstLine(err.Error())))
+			out = append(out, fmt.Sprintf("cell %s: %v", r.cells[i].Name(), firstLine(err.Error())))
 		}
 	}
 	return out
@@ -624,41 +552,23 @@ func formatProgressDone(done, total int64, elapsed time.Duration, computes, hits
 		done, total, pct, elapsed.Round(time.Second), computes, hits, state)
 }
 
-// runSim executes one cell through the library facade, inheriting its
-// fault containment: panics, livelocks, and cancellation come back as
-// typed errors instead of killing the worker pool.  MaxCycles is set
-// explicitly to the harness's historical 40x budget (the facade's own
-// default is 4x), so results are byte-identical to the pre-facade
-// harness.
-func runSim(ctx context.Context, j simJob, hists bool, crashDir string) (*stats.Sim, *obs.Metrics, error) {
-	tel := &obs.Metrics{Hists: hists}
-	res, err := recyclesim.RunContext(ctx, recyclesim.Options{
-		Machine:   j.mach,
-		Features:  j.feat,
-		Workloads: j.names,
-		MaxInsts:  j.insts,
-		MaxCycles: 40 * j.insts,
-		Telemetry: tel,
-		CrashDir:  crashDir,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, tel, nil
-}
-
-// writeMetrics exports one aggregate snapshot over every computed cell:
+// writeMetrics exports one aggregate snapshot over every detailed cell:
 // summed counters, summed stall attribution, merged histograms.  Cells
 // are visited in collection order, so the document is deterministic.
 func writeMetrics(path string, stdout io.Writer, r *runner) error {
 	agg := &stats.Sim{}
 	tel := &obs.Metrics{Hists: true}
-	for i := range r.results {
-		agg.Add(r.results[i])
-		tel.Add(r.metrics[i])
+	cells := 0
+	for i, c := range r.cells {
+		if c.Sampling != nil {
+			continue
+		}
+		agg.Add(r.recs[i].Stats)
+		tel.Add(r.recs[i].Metrics)
+		cells++
 	}
 	snap := &obs.Snapshot{
-		Name:    fmt.Sprintf("experiments aggregate (%d cells)", len(r.results)),
+		Name:    fmt.Sprintf("experiments aggregate (%d cells)", cells),
 		Stats:   agg,
 		Metrics: tel,
 	}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -153,21 +155,50 @@ func TestObservabilityDoesNotPerturbOutput(t *testing.T) {
 	}
 }
 
+// accounting matches the -checkpoint (or -remote) stderr accounting
+// line and returns its cells, hits and computes.
+var accounting = regexp.MustCompile(` cells=(\d+) hits=(\d+) computes=(\d+) `)
+
+func counts(t *testing.T, stderr string) (cells, hits, computes int) {
+	t.Helper()
+	m := accounting.FindStringSubmatch(stderr)
+	if m == nil {
+		t.Fatalf("no accounting line on stderr:\n%s", stderr)
+	}
+	cells, _ = strconv.Atoi(m[1])
+	hits, _ = strconv.Atoi(m[2])
+	computes, _ = strconv.Atoi(m[3])
+	return cells, hits, computes
+}
+
+// storeRecords lists the record files of the store at dir.
+func storeRecords(t *testing.T, dir string) []string {
+	t.Helper()
+	recs, err := filepath.Glob(filepath.Join(dir, "*", "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recs
+}
+
 // TestCheckpointResumeCLI: the same invocation run twice against one
-// checkpoint file must print byte-identical output, report the resume
-// on stderr, and leave the journal unchanged (nothing resimulated,
-// nothing re-appended).
+// -checkpoint store must print byte-identical output, and the second
+// run must serve every cell from the store: zero computes by the
+// store's counters, nothing resimulated or rewritten.
 func TestCheckpointResumeCLI(t *testing.T) {
-	cp := filepath.Join(t.TempDir(), "cells.jsonl")
-	args := []string{"-fig", "3", "-insts", "300", "-checkpoint", cp}
+	dir := filepath.Join(t.TempDir(), "cells")
+	args := []string{"-fig", "3", "-insts", "300", "-checkpoint", dir}
 
 	var out1, err1 strings.Builder
 	if got := run(args, &out1, &err1); got != 0 {
 		t.Fatalf("first run exited %d:\n%s", got, err1.String())
 	}
-	data1, err := os.ReadFile(cp)
-	if err != nil || len(data1) == 0 {
-		t.Fatalf("no journal written: %v", err)
+	cells, hits, computes := counts(t, err1.String())
+	if cells == 0 || hits != 0 || computes != cells {
+		t.Errorf("first run cells=%d hits=%d computes=%d, want every cell computed", cells, hits, computes)
+	}
+	if n := len(storeRecords(t, dir)); n != cells {
+		t.Errorf("store holds %d records, want %d", n, cells)
 	}
 
 	var out2, err2 strings.Builder
@@ -177,22 +208,18 @@ func TestCheckpointResumeCLI(t *testing.T) {
 	if out1.String() != out2.String() {
 		t.Error("resumed run's stdout differs from the original")
 	}
-	if !strings.Contains(err2.String(), "resuming from") {
-		t.Errorf("resume not announced on stderr: %q", err2.String())
-	}
-	data2, _ := os.ReadFile(cp)
-	if string(data1) != string(data2) {
-		t.Error("resumed run modified a complete journal")
+	if c, h, n := counts(t, err2.String()); c != cells || h != cells || n != 0 {
+		t.Errorf("resumed run cells=%d hits=%d computes=%d, want %d hits and 0 computes", c, h, n, cells)
 	}
 }
 
 // TestSampledSweepCLI: the opt-in sampled sweep prints the CI report,
-// journals its cells under schedule-qualified keys that never collide
-// with full-detail cells, and resumes byte-identically.
+// stores its cells in the -checkpoint store, and resumes
+// byte-identically with zero computes.
 func TestSampledSweepCLI(t *testing.T) {
-	cp := filepath.Join(t.TempDir(), "cells.jsonl")
+	dir := filepath.Join(t.TempDir(), "cells")
 	args := []string{"-sampled", "-insts", "20000", "-sample-period", "4000",
-		"-sample-interval", "400", "-sample-warmup", "400", "-checkpoint", cp}
+		"-sample-interval", "400", "-sample-warmup", "400", "-checkpoint", dir}
 
 	var out1, err1 strings.Builder
 	if got := run(args, &out1, &err1); got != 0 {
@@ -204,12 +231,10 @@ func TestSampledSweepCLI(t *testing.T) {
 	if !strings.Contains(out1.String(), "schedule: period=4000 interval=400 warmup=400") {
 		t.Errorf("schedule line missing:\n%s", out1.String())
 	}
-	data1, err := os.ReadFile(cp)
-	if err != nil || len(data1) == 0 {
-		t.Fatalf("no journal written: %v", err)
-	}
-	if !strings.Contains(string(data1), `"key":"sampled|4000-400-400|`) {
-		t.Errorf("journal keys not schedule-qualified:\n%.200s", data1)
+	cells, _, computes := counts(t, err1.String())
+	if cells == 0 || computes != cells || len(storeRecords(t, dir)) != cells {
+		t.Errorf("first run cells=%d computes=%d records=%d, want every cell computed and stored",
+			cells, computes, len(storeRecords(t, dir)))
 	}
 
 	var out2, err2 strings.Builder
@@ -219,23 +244,51 @@ func TestSampledSweepCLI(t *testing.T) {
 	if out1.String() != out2.String() {
 		t.Error("resumed sampled run's stdout differs from the original")
 	}
-	data2, _ := os.ReadFile(cp)
-	if string(data1) != string(data2) {
-		t.Error("resumed run modified a complete journal")
+	if c, h, n := counts(t, err2.String()); c != cells || h != cells || n != 0 {
+		t.Errorf("resumed run cells=%d hits=%d computes=%d, want %d hits and 0 computes", c, h, n, cells)
 	}
 }
 
-// TestCheckpointCorruptCLI: a corrupt journal is a flag-level error
-// (exit 2), before any simulation runs.
+// TestCheckpointCorruptCLI: a corrupt record in the -checkpoint store
+// is a counted miss — recomputed, with stdout identical to the clean
+// run — while a -checkpoint path that cannot be a store (an old JSONL
+// journal file) is a flag-level error (exit 2) before any simulation.
 func TestCheckpointCorruptCLI(t *testing.T) {
-	cp := filepath.Join(t.TempDir(), "cells.jsonl")
-	os.WriteFile(cp, []byte("garbage\n{\"key\":\"k\",\"stats\":{}}\n"), 0o644)
+	dir := filepath.Join(t.TempDir(), "cells")
+	args := []string{"-fig", "3", "-insts", "300", "-checkpoint", dir}
+	var out1, err1 strings.Builder
+	if got := run(args, &out1, &err1); got != 0 {
+		t.Fatalf("first run exited %d:\n%s", got, err1.String())
+	}
+	recs := storeRecords(t, dir)
+	if len(recs) == 0 {
+		t.Fatal("no records stored")
+	}
+	if err := os.WriteFile(recs[len(recs)/2], []byte("garbage\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out2, err2 strings.Builder
+	if got := run(args, &out2, &err2); got != 0 {
+		t.Fatalf("run over a corrupt record exited %d:\n%s", got, err2.String())
+	}
+	if out1.String() != out2.String() {
+		t.Error("stdout over a corrupt record differs from the clean run")
+	}
+	if !strings.Contains(err2.String(), " computes=1 corrupt=1") {
+		t.Errorf("corrupt record not counted and recomputed:\n%s", err2.String())
+	}
+
+	journal := filepath.Join(t.TempDir(), "cells.jsonl")
+	os.WriteFile(journal, []byte("{\"key\":\"k\",\"stats\":{}}\n"), 0o644)
 	var out, errb strings.Builder
-	if got := run([]string{"-fig", "3", "-insts", "300", "-checkpoint", cp}, &out, &errb); got != 2 {
+	if got := run([]string{"-fig", "3", "-insts", "300", "-checkpoint", journal}, &out, &errb); got != 2 {
 		t.Fatalf("exit %d, want 2", got)
 	}
 	if !strings.Contains(errb.String(), "-checkpoint") {
 		t.Errorf("stderr %q", errb.String())
+	}
+	if out.Len() != 0 {
+		t.Errorf("rejected -checkpoint still printed:\n%s", out.String())
 	}
 }
 

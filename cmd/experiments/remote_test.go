@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -70,6 +71,38 @@ func TestRemoteMatchesLocalStdout(t *testing.T) {
 	}
 	if s := rem2Err.String(); !strings.Contains(s, "computes=0 ") {
 		t.Errorf("second remote run should be all store hits, stderr: %s", s)
+	}
+}
+
+// TestLocalCheckpointServesRemote is the one-memo witness: a local
+// sweep's -checkpoint directory, opened as a job server's store, serves
+// the same sweep run with -remote entirely from the local records —
+// byte-identical stdout, every cell a hit, zero computes — because the
+// local store and the server key cells with the same Cell.Key.
+func TestLocalCheckpointServesRemote(t *testing.T) {
+	dir := t.TempDir()
+	args := []string{"-fig", "3", "-insts", "300"}
+
+	var local, localErr bytes.Buffer
+	if code := run(append(args, "-checkpoint", dir), &local, &localErr); code != 0 {
+		t.Fatalf("local run exit %d: %s", code, localErr.String())
+	}
+	cells, _, computes := counts(t, localErr.String())
+	if computes != cells {
+		t.Fatalf("local run computed %d of %d cells into a fresh store", computes, cells)
+	}
+
+	base := startService(t, dir)
+	var rem, remErr bytes.Buffer
+	if code := run(append(args, "-remote", base), &rem, &remErr); code != 0 {
+		t.Fatalf("remote run exit %d: %s", code, remErr.String())
+	}
+	if !bytes.Equal(local.Bytes(), rem.Bytes()) {
+		t.Errorf("remote stdout differs from the local -checkpoint run:\nlocal:\n%s\nremote:\n%s", local.String(), rem.String())
+	}
+	want := fmt.Sprintf("cells=%d hits=%d computes=0 ", cells, cells)
+	if !strings.Contains(remErr.String(), want) {
+		t.Errorf("remote run not served from the local records, want %q in stderr:\n%s", want, remErr.String())
 	}
 }
 

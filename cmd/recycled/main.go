@@ -27,7 +27,10 @@
 // store durably, and deduplicated in flight, so overlapping sweeps from
 // any number of clients simulate each distinct cell exactly once —
 // including across restarts.  Results are byte-identical to a direct
-// library run of the same cell.
+// library run of the same cell.  The store is the one cmd/experiments
+// -checkpoint writes, keyed alike, so -store over a local sweep's
+// -checkpoint directory serves that sweep to -remote without
+// simulating.
 //
 // Stdout carries exactly one machine-readable handshake line; all
 // diagnostics are structured JSON records (log/slog) on stderr, each
@@ -107,10 +110,10 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	prog := &sweep.Progress{}
 	obsSrv := server.New(prog)
 
-	// The fleet dispatcher always runs: with no workers attached it
-	// degrades to in-process compute through the same canonical
-	// executor, so attaching workers later changes throughput, never
-	// results.
+	// The fleet dispatcher always runs (jobs.NewServer would build a
+	// zero-worker one otherwise): with no workers attached it degrades
+	// to in-process compute through the same canonical executor, so
+	// attaching workers later changes throughput, never results.
 	disp := fleet.NewDispatcher(fleet.Config{
 		LeaseTTL:      *leaseTTL,
 		Retries:       *retries,

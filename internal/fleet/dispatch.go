@@ -714,7 +714,7 @@ func (d *Dispatcher) Compute(ctx context.Context, spec Spec, key string, tc trac
 			return nil, err
 		}
 		attempt++
-		if werr := d.backoffWait(ctx, tc, attempt, &rnd); werr != nil {
+		if err := d.backoffWait(ctx, tc, attempt, &rnd); err != nil {
 			return nil, err
 		}
 	}

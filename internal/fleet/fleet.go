@@ -7,11 +7,13 @@
 // local in-process compute when no workers are attached.
 //
 // The determinism contract is the same one every layer above keeps: a
-// cell's result record is a pure function of its Spec, computed by
-// Execute with the exact budgets and policies the local paths use
-// (cmd/experiments' 40x cycle budget, sampled cells at Workers 1), so
-// a sweep's output is byte-identical whether it ran on 0, 1, or N
-// worker hosts — witnessed by the chaos tests in fleet/chaos.  The
+// cell's result record is a pure function of its Spec (store.Cell),
+// computed by Execute — the one executor, used in-process by the
+// dispatcher, by workers, and by cmd/experiments' local sweeps — so a
+// sweep's output is byte-identical whether it ran locally or on 0, 1,
+// or N worker hosts, witnessed by the chaos tests in fleet/chaos.  The
+// job server always computes through a Dispatcher; with no workers
+// attached it is simply the server's retry loop around Execute.  The
 // durable store above the dispatcher still guarantees each distinct
 // cell is computed exactly once per store, no matter how many workers
 // race, die, or resurrect: a requeued cell's late result from the
@@ -25,63 +27,39 @@ package fleet
 
 import (
 	"context"
-	"strings"
 
 	"recyclesim"
-	"recyclesim/internal/config"
 	"recyclesim/internal/obs"
 	"recyclesim/internal/store"
 )
 
-// Sampling is the sampled-mode schedule of a cell, travelling raw
-// (zero fields select the simulator defaults) exactly like the job
-// API's SamplingSpec.
-type Sampling struct {
-	Period      uint64  `json:"period,omitempty"`
-	IntervalLen uint64  `json:"interval,omitempty"`
-	WarmupLen   uint64  `json:"warmup,omitempty"`
-	Confidence  float64 `json:"confidence,omitempty"`
-}
-
-// Spec identifies one simulation cell: the full machine and feature
-// configuration (by content, not by name), the workload mix, the
-// committed-instruction budget, and the sampling schedule for sampled
-// cells.  It is the unit of work the dispatcher hands to workers.
-type Spec struct {
-	Machine   config.Machine  `json:"machine"`
-	Features  config.Features `json:"features"`
-	Workloads []string        `json:"workloads"`
-	// Insts is the committed-instruction budget (0 = 200_000); the
-	// cycle budget is fixed at the harness's 40x policy.
-	Insts uint64 `json:"insts,omitempty"`
-	// Sampling, when non-nil, makes this a sampled cell.
-	Sampling *Sampling `json:"sampling,omitempty"`
-}
-
-// Name renders the spec for logs and progress displays.
-func (s Spec) Name() string {
-	name := s.Machine.Name + "/" + config.FeatureName(s.Features) + "/" + strings.Join(s.Workloads, "+")
-	if s.Sampling != nil {
-		name = "sampled/" + name
-	}
-	return name
-}
+// Spec is the dispatcher's unit of work: one simulation cell.  It is
+// store.Cell under its historical name, so the lease body a worker
+// receives is the job API's cell verbatim.
+type Spec = store.Cell
 
 // Execute computes one cell in-process: the canonical Spec→Record
-// executor shared by the dispatcher's zero-worker fallback, the
-// in-process path of the job server, and cmd/recycleworker.  One call
-// is one attempt — retries, backoff, and fault attribution live in the
-// callers — but faults are already contained: a panic or livelock
-// comes back as an error, never takes the process down.
+// executor shared by the dispatcher's zero-worker fallback (and hence
+// the job server), cmd/recycleworker, and cmd/experiments' local
+// sweeps.  It alone holds the cycle-budget policy: detailed cells run
+// with MaxCycles at 40x the instruction budget (the library's own
+// default is 4x), sampled cells at Workers 1.  One call is one attempt
+// — retries, backoff, and fault attribution live in the callers — but
+// faults are already contained: a panic or livelock comes back as an
+// error, never takes the process down.
 func Execute(ctx context.Context, spec Spec) (*store.Record, error) {
-	insts := spec.Insts
-	if insts == 0 {
-		insts = 200_000
-	}
+	return ExecuteCrashDir(ctx, spec, "")
+}
+
+// ExecuteCrashDir is Execute that also persists a crash bundle under
+// crashDir (when non-empty) for a detailed cell that panics or
+// livelocks.  Where bundles land is host policy, not cell identity, so
+// it travels beside the cell rather than in it.
+func ExecuteCrashDir(ctx context.Context, spec Spec, crashDir string) (*store.Record, error) {
+	insts := spec.Budget()
 	if spec.Sampling != nil {
 		// Cell-level Workers is pinned to 1 so sampled estimates are
-		// worker-count invariant (the cmd/experiments policy); the
-		// sweep above already fans cells out.
+		// worker-count invariant; sweeps already fan cells out.
 		res, err := recyclesim.RunSampledContext(ctx, recyclesim.Options{
 			Machine:   spec.Machine,
 			Features:  spec.Features,
@@ -110,6 +88,7 @@ func Execute(ctx context.Context, spec Spec) (*store.Record, error) {
 		MaxInsts:  insts,
 		MaxCycles: 40 * insts,
 		Telemetry: tel,
+		CrashDir:  crashDir,
 	}}, recyclesim.BatchConfig{Workers: 1})
 	if err != nil {
 		return nil, err

@@ -338,6 +338,43 @@ func TestRemoteErrorRetriesThenSucceeds(t *testing.T) {
 	}
 }
 
+// TestLocalBackoffCancelReturnsCancellation: a context canceled while
+// a local retry is backing off ends Compute with the cancellation, not
+// the previous attempt's compute error, and no further attempt runs.
+// This is the job server's only retry loop, so a shutdown mid-backoff
+// must read as a cancellation in the cell's error record.
+func TestLocalBackoffCancelReturnsCancellation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	computeErr := errors.New("recyclesim: simulator panic")
+	var calls int
+	d := NewDispatcher(Config{
+		Local: func(context.Context, Spec) (*store.Record, error) {
+			calls++
+			return nil, computeErr
+		},
+		Retries:    3,
+		RetryDelay: time.Second,
+		Sleep: func(ctx context.Context, _ time.Duration) error {
+			cancel()
+			return ctx.Err()
+		},
+	})
+	_, err := d.Compute(ctx, testSpec("m"), "key", trace.Ctx{})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Compute err = %v, want context.Canceled", err)
+	}
+	if errors.Is(err, computeErr) {
+		t.Fatalf("Compute err = %v, reports the compute error instead of the cancellation", err)
+	}
+	if calls != 1 {
+		t.Fatalf("local attempts = %d, want 1 (none after the canceled backoff)", calls)
+	}
+	if c := d.Counters(); c.LocalComputes != 1 || c.Retries != 1 {
+		t.Fatalf("counters = %+v, want 1 local compute and 1 retry", c)
+	}
+}
+
 func TestRemoteErrorExhaustsRetries(t *testing.T) {
 	d := newTestDispatcher(nil, nil) // Retries = 0
 	info := d.RegisterWorker("w", 1)

@@ -2,8 +2,11 @@
 // into a service: clients submit sweeps of simulation cells, poll
 // their status, and stream per-cell results, while the server dedupes
 // identical cells across concurrent clients through the durable
-// content-addressed store (internal/store) and executes misses on the
-// fault-isolated batch runner (recyclesim.RunBatchContext).
+// content-addressed store (internal/store) and computes misses through
+// a fleet.Dispatcher: on leased workers when any are attached, else
+// in-process with fleet.Execute, the executor cmd/experiments runs
+// locally too.  Cells are store.Cell values (CellSpec is an alias), so
+// the job API, the fleet, and the CLI key cells alike.
 //
 // Endpoints (mounted onto internal/obs/server via Register, so one
 // listener also serves /metrics, /progress, /healthz, and pprof):
@@ -38,20 +41,15 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"recyclesim"
-	"recyclesim/internal/backoff"
-	"recyclesim/internal/config"
 	"recyclesim/internal/fleet"
 	"recyclesim/internal/obs"
 	"recyclesim/internal/obs/trace"
@@ -59,7 +57,6 @@ import (
 	"recyclesim/internal/stats"
 	"recyclesim/internal/store"
 	"recyclesim/internal/sweep"
-	"recyclesim/internal/workload"
 )
 
 // TraceHeader is the HTTP header a client sets on POST /jobs to
@@ -68,32 +65,12 @@ import (
 // the job status.
 const TraceHeader = "Recycle-Trace-Id"
 
-// SamplingSpec is the sampled-mode schedule of a cell.  Zero fields
-// select the simulator defaults (period 20000, interval 1000, warmup
-// 1000, confidence 0.95); the store key normalizes them, so default
-// and spelled-out schedules share a record.
-type SamplingSpec struct {
-	Period      uint64  `json:"period,omitempty"`
-	IntervalLen uint64  `json:"interval,omitempty"`
-	WarmupLen   uint64  `json:"warmup,omitempty"`
-	Confidence  float64 `json:"confidence,omitempty"`
-}
-
-// CellSpec identifies one simulation cell.  The machine and feature
-// structs travel in full (not by name), so custom knob combinations
-// sweep through the service exactly like presets, and the store key is
-// content-addressed on the actual configuration.
-type CellSpec struct {
-	Machine   config.Machine  `json:"machine"`
-	Features  config.Features `json:"features"`
-	Workloads []string        `json:"workloads"`
-	// Insts is the committed-instruction budget (0 = 200_000).  The
-	// cycle budget is fixed at the harness's 40x policy so service
-	// results are byte-identical to cmd/experiments runs.
-	Insts uint64 `json:"insts,omitempty"`
-	// Sampling, when non-nil, makes this a sampled cell.
-	Sampling *SamplingSpec `json:"sampling,omitempty"`
-}
+// CellSpec identifies one simulation cell: store.Cell under the job
+// API's name.  The machine and feature structs travel in full (not by
+// name), so custom knob combinations sweep through the service exactly
+// like presets, and the store key is content-addressed on the actual
+// configuration.
+type CellSpec = store.Cell
 
 // JobRequest is the POST /jobs body.
 type JobRequest struct {
@@ -135,19 +112,23 @@ type Config struct {
 	// Workers bounds per-job cell parallelism (<= 0 selects GOMAXPROCS).
 	Workers int
 	// Retries is the number of extra attempts a failed cell gets before
-	// its error is recorded (cancellation is never retried).
+	// its error is recorded (cancellation is never retried).  It sizes
+	// the trace buffer, and configures the dispatcher built when Fleet
+	// is nil.
 	Retries int
 	// RetryDelay and RetryDelayMax shape the capped exponential
 	// backoff (with equal jitter) between a cell's retry attempts;
 	// zero RetryDelay keeps retries immediate, zero RetryDelayMax
-	// defaults to 64x the base.
+	// defaults to 64x the base.  They configure the dispatcher built
+	// when Fleet is nil.
 	RetryDelay    time.Duration
 	RetryDelayMax time.Duration
-	// Fleet, when non-nil, routes cell computes through the
-	// distributed dispatcher: workers compute leased cells, and the
-	// dispatcher falls back to in-process execution when none are
-	// attached.  Store-level dedupe is unchanged — the dispatcher sits
-	// inside the single-flight compute callback.
+	// Fleet is the dispatcher every cell compute goes through: workers
+	// compute leased cells, and the dispatcher falls back to
+	// in-process execution (fleet.Execute) when none are attached.
+	// nil selects a zero-worker dispatcher built from Retries,
+	// RetryDelay and RetryDelayMax.  Store-level dedupe is unchanged —
+	// the dispatcher sits inside the single-flight compute callback.
 	Fleet *fleet.Dispatcher
 	// Auth, when non-nil, guards the job API with bearer-token
 	// authentication, per-client in-flight-cell quotas, and request
@@ -162,12 +143,6 @@ type Config struct {
 	// Log receives the server's structured records (job lifecycle, cell
 	// failures, stream disconnects).  nil discards them.
 	Log *slog.Logger
-
-	// retrySleep and retryRand inject the backoff timing and jitter
-	// source for deterministic tests; nil selects backoff.Sleep and a
-	// fixed-seed backoff.Rand per compute.
-	retrySleep func(context.Context, time.Duration) error
-	retryRand  func() float64
 }
 
 // Server owns the job table and executes submitted sweeps.
@@ -290,6 +265,14 @@ func NewServer(ctx context.Context, st *store.Store, cfg Config) *Server {
 	log := cfg.Log
 	if log == nil {
 		log = slog.New(slog.NewJSONHandler(io.Discard, nil))
+	}
+	if cfg.Fleet == nil {
+		cfg.Fleet = fleet.NewDispatcher(fleet.Config{
+			Retries:       cfg.Retries,
+			RetryDelay:    cfg.RetryDelay,
+			RetryDelayMax: cfg.RetryDelayMax,
+			Log:           cfg.Log,
+		})
 	}
 	s := &Server{ctx: ctx, store: st, cfg: cfg, log: log, jobs: make(map[string]*job)}
 	if cfg.Auth != nil {
@@ -568,7 +551,7 @@ func (s *Server) runJob(j *job) {
 	sweep.Run(len(j.cells), s.cfg.Workers, func(i int) {
 		j.queueCtx[i].End() // worker picked the cell up: queue wait over
 		if s.cfg.Progress != nil {
-			s.cfg.Progress.StartCell(cellName(j.cells[i]))
+			s.cfg.Progress.StartCell(j.cells[i].Name())
 		}
 		res := s.runCell(j.cells[i], i, j.cellCtx[i])
 		if s.cfg.Progress != nil {
@@ -590,14 +573,14 @@ func (s *Server) runJob(j *job) {
 		if res.Error != "" {
 			cc.Str("error", res.Error)
 			s.log.Warn("cell failed", "job", j.id, "trace", j.trace.ID().String(),
-				"cell", res.Index, "name", cellName(j.cells[i]), "error", res.Error)
+				"cell", res.Index, "name", j.cells[i].Name(), "error", res.Error)
 		}
 		j.mu.Lock()
 		j.results = append(j.results, res)
 		switch {
 		case res.Error != "":
 			j.failed++
-			j.errs = append(j.errs, fmt.Sprintf("cell %d (%s): %s", res.Index, cellName(j.cells[i]), res.Error))
+			j.errs = append(j.errs, fmt.Sprintf("cell %d (%s): %s", res.Index, j.cells[i].Name(), res.Error))
 		case res.Cached:
 			j.hits++
 		default:
@@ -622,93 +605,16 @@ func (s *Server) runJob(j *job) {
 		"elapsed", j.trace.Elapsed().String())
 }
 
-// fleetSpec converts the wire cell spec into the dispatcher's unit of
-// work (the shapes are intentionally identical; insts defaulting and
-// the 40x cycle policy live in fleet.Execute so local and remote
-// computes share one canonical executor).
-func fleetSpec(c CellSpec) fleet.Spec {
-	s := fleet.Spec{
-		Machine:   c.Machine,
-		Features:  c.Features,
-		Workloads: c.Workloads,
-		Insts:     c.Insts,
-	}
-	if c.Sampling != nil {
-		s.Sampling = &fleet.Sampling{
-			Period:      c.Sampling.Period,
-			IntervalLen: c.Sampling.IntervalLen,
-			WarmupLen:   c.Sampling.WarmupLen,
-			Confidence:  c.Sampling.Confidence,
-		}
-	}
-	return s
-}
-
-// backoffWait sleeps the capped exponential backoff before retry
-// attempt (0-based), under a "backoff" span.  Zero RetryDelay is a
-// no-op, preserving the historical immediate-retry behavior.
-func (s *Server) backoffWait(attempt int, rnd func() float64, cs trace.Ctx) {
-	if s.cfg.RetryDelay <= 0 {
-		return
-	}
-	sleep := s.cfg.retrySleep
-	if sleep == nil {
-		sleep = backoff.Sleep
-	}
-	bs := cs.Start("backoff").Uint("attempt", uint64(attempt))
-	_ = sleep(s.ctx, backoff.Delay(s.cfg.RetryDelay, s.cfg.RetryDelayMax, attempt, rnd))
-	bs.End()
-}
-
-// retryJitter returns the jitter source for one cell's retry backoff.
-func (s *Server) retryJitter() func() float64 {
-	if s.cfg.retryRand != nil {
-		return s.cfg.retryRand
-	}
-	if s.cfg.RetryDelay <= 0 {
-		return nil
-	}
-	return backoff.Rand(0x9e3779b97f4a7c15)
-}
-
-// cellName renders a cell for progress display and error reports.
-func cellName(c CellSpec) string {
-	name := c.Machine.Name + "/" + config.FeatureName(c.Features) + "/" + strings.Join(c.Workloads, "+")
-	if c.Sampling != nil {
-		name = "sampled/" + name
-	}
-	return name
-}
-
-// runCell resolves, keys, and executes (or serves) one cell; tc is the
-// cell's span, under which the store phases and compute attempts land.
+// runCell keys and computes (or serves) one cell; tc is the cell's
+// span, under which the store phases and the dispatcher's lease,
+// backoff and attempt spans land.
 func (s *Server) runCell(c CellSpec, idx int, tc trace.Ctx) CellResult {
-	progs, err := workload.MixPrograms(c.Workloads)
+	key, err := c.Key()
 	if err != nil {
 		return CellResult{Index: idx, Error: err.Error()}
 	}
-	insts := c.Insts
-	if insts == 0 {
-		insts = 200_000
-	}
-	var sampKey *store.Sampling
-	if c.Sampling != nil {
-		sampKey = &store.Sampling{
-			Period:      c.Sampling.Period,
-			IntervalLen: c.Sampling.IntervalLen,
-			WarmupLen:   c.Sampling.WarmupLen,
-			Confidence:  c.Sampling.Confidence,
-		}
-	}
-	key := store.CellKey(c.Machine, c.Features, store.HashPrograms(progs), insts, sampKey)
 	rec, cached, err := s.store.GetOrComputeTraced(key, tc, func(cs trace.Ctx) (*store.Record, error) {
-		if s.cfg.Fleet != nil {
-			return s.cfg.Fleet.Compute(s.ctx, fleetSpec(c), key, cs)
-		}
-		if c.Sampling != nil {
-			return s.computeSampled(c, insts, cs)
-		}
-		return s.computeDetailed(c, insts, cs)
+		return s.cfg.Fleet.Compute(s.ctx, c, key, cs)
 	})
 	if err != nil {
 		return CellResult{Index: idx, Key: key, Error: err.Error()}
@@ -720,69 +626,5 @@ func (s *Server) runCell(c CellSpec, idx int, tc trace.Ctx) CellResult {
 		Stats:   rec.Stats,
 		Metrics: rec.Metrics,
 		Sampled: rec.Sampled,
-	}
-}
-
-// computeDetailed runs one detailed cell on the fault-isolated batch
-// runner: panics and livelocks come back as errors, never take the
-// server down, and transient hook failures get cfg.Retries fresh
-// attempts (with fresh telemetry each time, so a partially accumulated
-// failed attempt never leaks into the stored record).
-func (s *Server) computeDetailed(c CellSpec, insts uint64, cs trace.Ctx) (*store.Record, error) {
-	rnd := s.retryJitter()
-	for attempt := 0; ; attempt++ {
-		at := cs.Start("attempt").Uint("attempt", uint64(attempt))
-		tel := &obs.Metrics{Hists: true}
-		res, err := recyclesim.RunBatchContext(s.ctx, []recyclesim.Options{{
-			Machine:   c.Machine,
-			Features:  c.Features,
-			Workloads: c.Workloads,
-			MaxInsts:  insts,
-			MaxCycles: 40 * insts,
-			Telemetry: tel,
-		}}, recyclesim.BatchConfig{Workers: 1})
-		if err == nil {
-			at.End()
-			return &store.Record{Stats: res[0], Metrics: tel}, nil
-		}
-		at.Error(err).End()
-		if attempt >= s.cfg.Retries || errors.Is(err, recyclesim.ErrCanceled) || errors.Is(err, recyclesim.ErrDeadline) {
-			return nil, err
-		}
-		s.backoffWait(attempt, rnd, cs)
-	}
-}
-
-// computeSampled runs one sampled cell.  Workers is pinned to 1: the
-// job's cells already fan out across the pool, and cell-level
-// parallelism keeps results worker-count invariant (matching the
-// cmd/experiments policy).
-func (s *Server) computeSampled(c CellSpec, insts uint64, cs trace.Ctx) (*store.Record, error) {
-	samp := recyclesim.Sampling{Workers: 1}
-	if c.Sampling != nil {
-		samp.Period = c.Sampling.Period
-		samp.IntervalLen = c.Sampling.IntervalLen
-		samp.WarmupLen = c.Sampling.WarmupLen
-		samp.Confidence = c.Sampling.Confidence
-	}
-	rnd := s.retryJitter()
-	for attempt := 0; ; attempt++ {
-		at := cs.Start("attempt").Uint("attempt", uint64(attempt))
-		res, err := recyclesim.RunSampledContext(s.ctx, recyclesim.Options{
-			Machine:   c.Machine,
-			Features:  c.Features,
-			Workloads: c.Workloads,
-			MaxInsts:  insts,
-			Sampling:  &samp,
-		})
-		if err == nil {
-			at.End()
-			return &store.Record{Sampled: res}, nil
-		}
-		at.Error(err).End()
-		if attempt >= s.cfg.Retries || errors.Is(err, recyclesim.ErrCanceled) || errors.Is(err, recyclesim.ErrDeadline) {
-			return nil, err
-		}
-		s.backoffWait(attempt, rnd, cs)
 	}
 }

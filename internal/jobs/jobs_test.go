@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"recyclesim"
 	"recyclesim/internal/config"
@@ -17,18 +18,28 @@ import (
 )
 
 // newTestService builds a job server over a store at dir and mounts it
-// on an httptest listener, returning the server and a client.
+// on an httptest listener, returning the server and a client.  At
+// cleanup it cancels the server and waits for every submitted job to
+// finish, so a test that submits without streaming the results leaves
+// no job writing into a store directory that is being removed.
 func newTestService(t *testing.T, dir string, cfg Config) (*Server, *Client) {
 	t.Helper()
 	st, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(context.Background(), st, cfg)
+	ctx, cancel := context.WithCancel(context.Background())
+	srv := NewServer(ctx, st, cfg)
 	mux := http.NewServeMux()
 	srv.Register(mux)
 	ts := httptest.NewServer(mux)
-	t.Cleanup(ts.Close)
+	t.Cleanup(func() {
+		ts.Close()
+		cancel()
+		for srv.jobsDone.Load() < srv.jobsSubmitted.Load() {
+			time.Sleep(time.Millisecond)
+		}
+	})
 	return srv, NewClient(ts.URL)
 }
 
@@ -152,7 +163,7 @@ func TestSampledCellWitness(t *testing.T) {
 		Features:  config.RECRSRU,
 		Workloads: []string{"compress"},
 		Insts:     20_000,
-		Sampling:  &SamplingSpec{Period: 4_000, IntervalLen: 400, WarmupLen: 400, Confidence: 0.99},
+		Sampling:  &store.Sampling{Period: 4_000, IntervalLen: 400, WarmupLen: 400, Confidence: 0.99},
 	}
 	srv, client := newTestService(t, t.TempDir(), Config{Workers: 1})
 

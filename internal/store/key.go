@@ -9,6 +9,7 @@ import (
 
 	"recyclesim/internal/config"
 	"recyclesim/internal/program"
+	"recyclesim/internal/workload"
 )
 
 // keySchema versions the cell-key derivation.  Bump it whenever the
@@ -18,17 +19,73 @@ import (
 // garbage rather than wrong answers).
 const keySchema = "recyclesim-cell-v1"
 
-// Sampling is the sampled-schedule part of a cell's identity.  The
-// confidence level is part of the key from day one: it changes the
-// IPCLo/IPCHi/CPIHalf bounds a record serves, not just their label
-// (the sampled-journal key in cmd/experiments once omitted it — a
-// cache must never repeat that bug, because a durable store would
-// serve the stale bounds forever).
+// DefaultInsts is the committed-instruction budget of a cell whose
+// Insts is zero.  It is part of cell identity: a cell submitted with
+// Insts 0 shares its record with the same cell spelled out at
+// DefaultInsts.
+const DefaultInsts = 200_000
+
+// Cell identifies one simulation cell: the full machine and feature
+// configuration (by content, not by name), the workload mix, the
+// committed-instruction budget, and the sampling schedule for sampled
+// cells.  It is the one description of a cell on every path — the
+// job API's request body, the fleet's lease body, cmd/experiments'
+// sweep, and the store key — so custom knob combinations travel like
+// presets and every path agrees on which cells are the same.
+type Cell struct {
+	Machine   config.Machine  `json:"machine"`
+	Features  config.Features `json:"features"`
+	Workloads []string        `json:"workloads"`
+	// Insts is the committed-instruction budget (0 = DefaultInsts);
+	// the cycle budget is fixed by the executor (fleet.Execute).
+	Insts uint64 `json:"insts,omitempty"`
+	// Sampling, when non-nil, makes this a sampled cell.
+	Sampling *Sampling `json:"sampling,omitempty"`
+}
+
+// Budget returns the cell's committed-instruction budget with the
+// default applied.
+func (c Cell) Budget() uint64 {
+	if c.Insts == 0 {
+		return DefaultInsts
+	}
+	return c.Insts
+}
+
+// Name renders the cell for logs, progress displays and error
+// reports.  It is not an identity: custom feature knobs sharing a
+// figure-legend name render alike.
+func (c Cell) Name() string {
+	name := c.Machine.Name + "/" + config.FeatureName(c.Features) + "/" + strings.Join(c.Workloads, "+")
+	if c.Sampling != nil {
+		name = "sampled/" + name
+	}
+	return name
+}
+
+// Key resolves the cell's workloads and returns its content address
+// (CellKey over the resolved programs' hash and the defaulted budget).
+// It fails only when a workload name does not resolve.
+func (c Cell) Key() (string, error) {
+	progs, err := workload.MixPrograms(c.Workloads)
+	if err != nil {
+		return "", err
+	}
+	return CellKey(c.Machine, c.Features, HashPrograms(progs), c.Budget(), c.Sampling), nil
+}
+
+// Sampling is the sampled-mode schedule of a cell.  Zero fields select
+// the simulator defaults (period 20000, interval 1000, warmup 1000,
+// confidence 0.95); the key normalizes them, so default and spelled-out
+// schedules share a record.  The confidence level is part of the key:
+// it changes the IPCLo/IPCHi/CPIHalf bounds a record serves, not just
+// their label, so a durable store that ignored it would serve stale
+// bounds forever.
 type Sampling struct {
-	Period      uint64  `json:"period"`
-	IntervalLen uint64  `json:"interval"`
-	WarmupLen   uint64  `json:"warmup"`
-	Confidence  float64 `json:"confidence"`
+	Period      uint64  `json:"period,omitempty"`
+	IntervalLen uint64  `json:"interval,omitempty"`
+	WarmupLen   uint64  `json:"warmup,omitempty"`
+	Confidence  float64 `json:"confidence,omitempty"`
 }
 
 // normalized applies the simulator's schedule defaults, so a cell

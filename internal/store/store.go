@@ -137,12 +137,16 @@ func (s *Store) path(key string) string {
 // Unreadable, unparseable, mis-keyed, or foreign-version records count
 // as misses (and bump the Corrupt counter), never errors.
 func (s *Store) Get(key string) (*Record, bool) {
-	rec, ok, _ := s.get(key)
+	rec, ok, corrupt := s.get(key)
+	if corrupt {
+		s.corrupt.Add(1)
+	}
 	return rec, ok
 }
 
-// get is Get plus the corrupt verdict, so the traced lookup path can
-// attribute a refused record without re-reading the counters.
+// get is Get plus the corrupt verdict, without counting it: the
+// callers count, so one request over a refused record counts it once
+// however many times it reads it.
 func (s *Store) get(key string) (rec *Record, ok, corrupt bool) {
 	if len(key) < 3 {
 		return nil, false, false
@@ -153,7 +157,6 @@ func (s *Store) get(key string) (rec *Record, ok, corrupt bool) {
 	}
 	rec, ok = decode(data, key)
 	if !ok {
-		s.corrupt.Add(1)
 		return nil, false, true
 	}
 	return rec, true, false
@@ -236,6 +239,7 @@ func (s *Store) GetOrComputeTraced(key string, tc trace.Ctx, compute func(trace.
 	lk := tc.Start("lookup")
 	rec, ok, corrupt := s.get(key)
 	if corrupt {
+		s.corrupt.Add(1)
 		lk.Uint("corrupt", 1)
 	}
 	if ok {
@@ -273,7 +277,11 @@ func (s *Store) GetOrComputeTraced(key string, tc trace.Ctx, compute func(trace.
 	// another process sharing the directory) may have landed the record
 	// between our miss and winning the flight slot.
 	lk = tc.Start("lookup").Uint("recheck", 1)
-	if rec, ok := s.Get(key); ok {
+	rec, ok, recorrupt := s.get(key)
+	if recorrupt && !corrupt {
+		s.corrupt.Add(1)
+	}
+	if ok {
 		lk.Uint("hit", 1).End()
 		s.diskHits.Add(1)
 		c.rec = rec

@@ -192,6 +192,25 @@ func TestGetRefusesCorruptRecords(t *testing.T) {
 	}
 }
 
+// TestCorruptCountedOncePerRequest: GetOrCompute reads a missing
+// record twice (the lookup, then the recheck under flight ownership);
+// a corrupt record is still one refused record, counted once.
+func TestCorruptCountedOncePerRequest(t *testing.T) {
+	s := testStore(t)
+	key := testKey(t, nil)
+	path := s.path(key)
+	os.MkdirAll(filepath.Dir(path), 0o755)
+	os.WriteFile(path, []byte("garbage"), 0o644)
+	if _, _, err := s.GetOrCompute(key, func() (*Record, error) {
+		return &Record{Stats: &stats.Sim{Cycles: 7}}, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if c := s.Counters(); c.Corrupt != 1 || c.Computes != 1 {
+		t.Errorf("counters %+v, want 1 corrupt and 1 compute", c)
+	}
+}
+
 // TestGetOrComputeSingleFlight: N concurrent requests for one missing
 // key run compute exactly once; everyone gets the same record, and the
 // counters account for every request.
