@@ -153,11 +153,19 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	}
 }
 
+// sampledBenchWorkers fixes the sampled benchmarks' worker count.  A
+// sampled run keeps one snapshot buffer and one interval core per
+// worker, so B/op scales with it; a fixed count keeps the gated B/op
+// independent of the host's core count.
+const sampledBenchWorkers = 2
+
 // BenchmarkSampledThroughput measures the effective speed of sampled
 // simulation: total simulated (emulated + detailed) instructions per
 // host second under the benchmark schedule.  Compare against
 // BenchmarkSimulatorThroughput's simInsts/s for the same preset and
-// workload — the ratio is the sampling speedup the gate tracks.
+// workload — the ratio is the sampling speedup the gate tracks.  Its
+// B/op is the per-run memory of sampled mode, which the gate also
+// tracks: it must stay independent of the interval count.
 func BenchmarkSampledThroughput(b *testing.B) {
 	for _, preset := range []string{"SMT", "REC/RS/RU"} {
 		b.Run(preset, func(b *testing.B) {
@@ -171,7 +179,7 @@ func BenchmarkSampledThroughput(b *testing.B) {
 					Features:  PresetByName(preset),
 					Workloads: []string{"gcc"},
 					MaxInsts:  8_000_000,
-					Sampling:  &Sampling{Period: 400_000, IntervalLen: 1_000, WarmupLen: 1_000},
+					Sampling:  &Sampling{Period: 400_000, IntervalLen: 1_000, WarmupLen: 1_000, Workers: sampledBenchWorkers},
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -201,7 +209,7 @@ func BenchmarkSampledFigure3(b *testing.B) {
 						Features:  PresetByName(preset),
 						Workloads: []string{bench},
 						MaxInsts:  1_000_000,
-						Sampling:  &Sampling{Period: 50_000, IntervalLen: 1_000, WarmupLen: 1_000},
+						Sampling:  &Sampling{Period: 50_000, IntervalLen: 1_000, WarmupLen: 1_000, Workers: sampledBenchWorkers},
 					})
 					if err != nil {
 						b.Fatal(err)

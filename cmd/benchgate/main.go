@@ -4,15 +4,16 @@
 // It executes the root-package benchmarks (the throughput benchmark
 // plus the figure/table regenerators) via `go test -bench`, parses the
 // standard benchmark output into a JSON document, compares the
-// simInsts/s metrics against the committed baseline, and then rewrites
-// the baseline file with the fresh numbers:
+// simInsts/s and B/op metrics against the committed baseline, and then
+// rewrites the baseline file with the fresh numbers:
 //
 //	benchgate                 # gate against BENCH_simulator.json, then refresh it
-//	benchgate -tolerance 0.2  # allow up to 20% slowdown
+//	benchgate -tolerance 0.2  # allow up to 20% slowdown or allocation growth
 //	benchgate -update         # refresh the baseline without gating
 //
-// Exit status is 0 on success, 1 when any simInsts/s metric regressed
-// more than the tolerance below the baseline, and 2 on harness errors.
+// Exit status is 0 on success, 1 when any simInsts/s metric fell, or
+// any B/op metric grew, by more than the tolerance against the
+// baseline, and 2 on harness errors.
 // `make bench` is the canonical invocation.
 package main
 
@@ -44,7 +45,7 @@ func run(args []string) int {
 	bench := fs.String("bench", "SimulatorThroughput|PipetraceOverhead|Figure[3-6]|Table1|Sampled", "benchmark regexp passed to go test")
 	benchtime := fs.String("benchtime", "1x", "benchtime passed to go test")
 	out := fs.String("out", "BENCH_simulator.json", "baseline file to gate against and rewrite")
-	tolerance := fs.Float64("tolerance", 0.10, "allowed fractional simInsts/s regression before failing")
+	tolerance := fs.Float64("tolerance", 0.10, "allowed fractional simInsts/s drop or B/op growth before failing")
 	update := fs.Bool("update", false, "rewrite the baseline without gating")
 	metricsText := fs.String("metrics-text", "", "also write the fresh results as Prometheus-style text to this file (\"-\" for stdout)")
 	if err := fs.Parse(args); err != nil {
@@ -156,51 +157,76 @@ func parseBench(out string) map[string]map[string]float64 {
 	return results
 }
 
-// gate compares every simInsts/s metric present in both documents and
+// gatedMetrics are the metrics the gate compares, each with the
+// direction a regression moves it: throughput falls, allocation grows.
+var gatedMetrics = []struct {
+	name        string
+	lowerBetter bool
+}{
+	{"simInsts/s", false},
+	{"B/op", true},
+}
+
+// gate compares every gated metric present in both documents and
 // reports (to stdout) and counts regressions beyond the tolerance.
 // Benchmarks present on only one side — a benchmark added since the
-// baseline was recorded, or one that has since been removed — are
-// skipped with a warning rather than failing the gate, so renaming or
-// extending the suite does not require hand-editing the baseline.
+// baseline was recorded, one that has since been removed, or one a
+// -bench subset did not run — are skipped with a warning rather than
+// failing the gate, so renaming or extending the suite does not
+// require hand-editing the baseline.
 func gate(base, fresh *Doc, tolerance float64) int {
 	names := make([]string, 0, len(fresh.Results))
 	for name := range fresh.Results {
 		names = append(names, name)
 	}
+	var notRun []string
 	for name := range base.Results {
 		if _, ok := fresh.Results[name]; !ok {
-			names = append(names, name)
+			notRun = append(notRun, name)
 		}
 	}
 	sort.Strings(names)
+	sort.Strings(notRun)
+	if len(notRun) > 0 {
+		fmt.Printf("benchgate: warning: %d baseline benchmark(s) not in this run; skipping: %s\n",
+			len(notRun), strings.Join(notRun, " "))
+	}
 	failed := 0
 	for _, name := range names {
-		want, okb := base.Results[name]["simInsts/s"]
-		got, okf := fresh.Results[name]["simInsts/s"]
-		switch {
-		case !okb && !okf:
-			continue // neither side carries simInsts/s (e.g. a pure ns/op benchmark)
-		case !okb:
+		baseMetrics, ok := base.Results[name]
+		if !ok {
 			fmt.Printf("benchgate: warning: %s not in baseline; skipping (will be recorded)\n", name)
 			continue
-		case !okf:
-			fmt.Printf("benchgate: warning: %s in baseline but not in this run; skipping\n", name)
-			continue
-		case want <= 0:
-			fmt.Printf("benchgate: warning: %s baseline simInsts/s is %g; skipping\n", name, want)
-			continue
 		}
-		change := got/want - 1
-		mark := "ok"
-		if change < -tolerance {
-			mark = "REGRESSION"
-			failed++
+		for _, m := range gatedMetrics {
+			want, okb := baseMetrics[m.name]
+			got, okf := fresh.Results[name][m.name]
+			switch {
+			case !okb && !okf:
+				continue // neither side carries the metric (e.g. a pure ns/op benchmark)
+			case !okb || !okf:
+				fmt.Printf("benchgate: warning: %s %s on one side only; skipping\n", name, m.name)
+				continue
+			case want <= 0:
+				fmt.Printf("benchgate: warning: %s baseline %s is %g; skipping\n", name, m.name, want)
+				continue
+			}
+			change := got/want - 1
+			worse := change < -tolerance
+			if m.lowerBetter {
+				worse = change > tolerance
+			}
+			mark := "ok"
+			if worse {
+				mark = "REGRESSION"
+				failed++
+			}
+			fmt.Printf("benchgate: %-40s %12.0f -> %12.0f %-10s (%+.1f%%) %s\n",
+				name, want, got, m.name, 100*change, mark)
 		}
-		fmt.Printf("benchgate: %-40s %12.0f -> %12.0f simInsts/s (%+.1f%%) %s\n",
-			name, want, got, 100*change, mark)
 	}
 	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "benchgate: %d benchmark(s) regressed more than %.0f%% below baseline\n",
+		fmt.Fprintf(os.Stderr, "benchgate: %d metric(s) regressed more than %.0f%% against baseline\n",
 			failed, 100*tolerance)
 		return 1
 	}

@@ -53,6 +53,32 @@ func TestGateStillCatchesRegressions(t *testing.T) {
 	}
 }
 
+// TestGateCatchesAllocGrowth: B/op is gated in the opposite direction
+// to throughput — growth beyond the tolerance fails, shrinking never
+// does — so a fall back to per-interval snapshot allocation cannot
+// pass unseen.
+func TestGateCatchesAllocGrowth(t *testing.T) {
+	base := doc(map[string]map[string]float64{
+		"SampledThroughput/SMT": {"simInsts/s": 1_000_000, "B/op": 7_000_000},
+	})
+	for _, tc := range []struct {
+		bop  float64
+		want int
+	}{
+		{83_000_000, 1}, // back to a snapshot per interval
+		{7_800_000, 1},  // 11% growth fails a 10% gate
+		{7_600_000, 0},  // 9% growth is within it
+		{1_000_000, 0},  // less allocation is never a regression
+	} {
+		fresh := doc(map[string]map[string]float64{
+			"SampledThroughput/SMT": {"simInsts/s": 1_000_000, "B/op": tc.bop},
+		})
+		if got := gate(base, fresh, 0.10); got != tc.want {
+			t.Errorf("B/op 7000000 -> %.0f: gate = %d, want %d", tc.bop, got, tc.want)
+		}
+	}
+}
+
 func TestWriteMetricsText(t *testing.T) {
 	d := doc(map[string]map[string]float64{
 		"B/two": {"simInsts/s": 2, "ns/op": 7.5},

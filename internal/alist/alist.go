@@ -112,6 +112,13 @@ func (l *List) Reset() {
 	l.start, l.cmt, l.tail = 0, 0, 0
 }
 
+// Clear is Reset that also zeroes every slot, returning the list to
+// its freshly built state (core reuse across independent runs).
+func (l *List) Clear() {
+	l.Reset()
+	clear(l.ents)
+}
+
 func (l *List) slot(seq uint64) *Entry { return &l.ents[seq%uint64(l.cap)] }
 
 // Push allocates the next entry, evicting the oldest retained-committed

@@ -79,16 +79,30 @@ func New(cfg Config) *Predictor {
 // functionally warmed predictor at each measurement point so parallel
 // intervals can train private copies without perturbing one another.
 func (p *Predictor) Clone() *Predictor {
-	q := *p
-	q.pht = append([]uint8(nil), p.pht...)
-	q.btb = append([]btbEntry(nil), p.btb...)
-	q.hist = append([]uint64(nil), p.hist...)
-	q.rasTop = append([]int(nil), p.rasTop...)
-	q.ras = make([][]uint64, len(p.ras))
-	for c := range p.ras {
-		q.ras[c] = append([]uint64(nil), p.ras[c]...)
+	q := &Predictor{}
+	p.CloneInto(q)
+	return q
+}
+
+// CloneInto makes dst a deep copy of p, reusing dst's tables and
+// return stacks when they are large enough; a zero Predictor is a
+// valid dst.
+func (p *Predictor) CloneInto(dst *Predictor) {
+	pht, btb, hist, rasTop := dst.pht, dst.btb, dst.hist, dst.rasTop
+	ras := dst.ras[:cap(dst.ras)]
+	*dst = *p
+	dst.pht = append(pht[:0], p.pht...)
+	dst.btb = append(btb[:0], p.btb...)
+	dst.hist = append(hist[:0], p.hist...)
+	dst.rasTop = append(rasTop[:0], p.rasTop...)
+	dst.ras = ras[:0]
+	for c, stack := range p.ras {
+		var buf []uint64
+		if c < len(ras) {
+			buf = ras[c]
+		}
+		dst.ras = append(dst.ras, append(buf[:0], stack...))
 	}
-	return &q
 }
 
 // Pred is a prediction plus the recovery state the pipeline must carry

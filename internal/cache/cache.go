@@ -72,11 +72,20 @@ func New(p Params) *Cache {
 // statistics.  Sampled simulation snapshots functionally warmed caches
 // so parallel measurement intervals each mutate a private copy.
 func (c *Cache) Clone() *Cache {
-	q := *c
-	q.lines = append([]line(nil), c.lines...)
-	q.bankCyc = append([]uint64(nil), c.bankCyc...)
-	q.bankCnt = append([]int(nil), c.bankCnt...)
-	return &q
+	q := &Cache{}
+	c.CloneInto(q)
+	return q
+}
+
+// CloneInto makes dst a deep copy of c, reusing dst's tag and bank
+// arrays when they are large enough, so a snapshot buffer refilled at
+// every measurement point allocates nothing once warm.
+func (c *Cache) CloneInto(dst *Cache) {
+	lines, bankCyc, bankCnt := dst.lines, dst.bankCyc, dst.bankCnt
+	*dst = *c
+	dst.lines = append(lines[:0], c.lines...)
+	dst.bankCyc = append(bankCyc[:0], c.bankCyc...)
+	dst.bankCnt = append(bankCnt[:0], c.bankCnt...)
 }
 
 // Sets returns the number of sets (exported for tests).
@@ -206,13 +215,27 @@ func NewHierarchy(p HierarchyParams) *Hierarchy {
 
 // Clone returns a deep copy of the whole hierarchy.
 func (h *Hierarchy) Clone() *Hierarchy {
-	return &Hierarchy{
-		p:   h.p,
-		IL1: h.IL1.Clone(),
-		DL1: h.DL1.Clone(),
-		L2:  h.L2.Clone(),
-		L3:  h.L3.Clone(),
+	q := &Hierarchy{}
+	h.CloneInto(q)
+	return q
+}
+
+// CloneInto makes dst a deep copy of h, reusing dst's levels (see
+// Cache.CloneInto); a zero Hierarchy is a valid dst.
+func (h *Hierarchy) CloneInto(dst *Hierarchy) {
+	dst.p = h.p
+	dst.IL1 = cloneLevel(h.IL1, dst.IL1)
+	dst.DL1 = cloneLevel(h.DL1, dst.DL1)
+	dst.L2 = cloneLevel(h.L2, dst.L2)
+	dst.L3 = cloneLevel(h.L3, dst.L3)
+}
+
+func cloneLevel(src, dst *Cache) *Cache {
+	if dst == nil {
+		dst = &Cache{}
 	}
+	src.CloneInto(dst)
+	return dst
 }
 
 // fill walks the lower levels after an L1 miss and returns the added

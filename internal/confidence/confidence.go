@@ -47,9 +47,17 @@ func New(cfg Config) *Estimator {
 // Clone returns a deep copy of the estimator (for sampled simulation's
 // per-interval model snapshots).
 func (e *Estimator) Clone() *Estimator {
-	q := *e
-	q.ctr = append([]uint8(nil), e.ctr...)
-	return &q
+	q := &Estimator{}
+	e.CloneInto(q)
+	return q
+}
+
+// CloneInto makes dst a deep copy of e, reusing dst's counter table
+// when it is large enough; a zero Estimator is a valid dst.
+func (e *Estimator) CloneInto(dst *Estimator) {
+	ctr := dst.ctr
+	*dst = *e
+	dst.ctr = append(ctr[:0], e.ctr...)
 }
 
 func (e *Estimator) index(pc uint64) int {

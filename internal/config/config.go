@@ -227,6 +227,13 @@ func (f Features) Validate() error {
 	return nil
 }
 
+// DefaultInsts is the committed-instruction budget of a run or cell
+// that sets none (a zero budget): detailed runs, sampled runs and
+// store cells all default through it.  It is part of cell identity, so
+// a cell submitted with a zero budget shares its stored record with
+// the same cell spelled out at DefaultInsts.
+const DefaultInsts = 200_000
+
 // Named feature presets matching the paper's figure legends.
 var (
 	SMT     = Features{}

@@ -254,18 +254,32 @@ type Context struct {
 	lruTick uint64
 }
 
+// newContext allocates a context's active list, store queue and
+// stream buffer; Core.reset initialises it.
 func newContext(id int, alSize int) *Context {
-	c := &Context{
+	return &Context{
 		id:        id,
 		al:        alist.New(alSize),
-		parentCtx: -1,
 		sq:        newStoreQueue(alSize),
 		streamBuf: make([]streamItem, 0, alSize),
 	}
-	for i := range c.mapTab {
-		c.mapTab[i] = regfile.NoReg
+}
+
+// reset returns the context to idle with an empty active list, store
+// queue and fetch queue and no register mappings, keeping its storage.
+func (t *Context) reset() {
+	*t = Context{
+		id:        t.id,
+		al:        t.al,
+		parentCtx: -1,
+		sq:        storeQueue{ents: t.sq.ents},
+		streamBuf: t.streamBuf[:0],
 	}
-	return c
+	t.al.Clear()
+	clear(t.sq.ents)
+	for i := range t.mapTab {
+		t.mapTab[i] = regfile.NoReg
+	}
 }
 
 // mapOf returns the physical mapping of a logical register (NoReg for

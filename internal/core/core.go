@@ -11,8 +11,6 @@
 package core
 
 import (
-	"fmt"
-
 	"recyclesim/internal/alist"
 	"recyclesim/internal/bpred"
 	"recyclesim/internal/cache"
@@ -152,48 +150,92 @@ type Core struct {
 // The number of programs must divide the context count evenly enough
 // that every program gets at least one context.
 func New(mach config.Machine, feat config.Features, progs []*program.Program) (*Core, error) {
-	return newCore(mach, feat, progs, nil)
+	return NewSeeded(mach, feat, progs, nil, Models{})
 }
 
-// newCore is the shared constructor behind New and NewSeeded; seeds is
-// nil (every program starts at its entry) or pre-validated to match
-// progs element-wise, with nil entries meaning "fresh start".
-func newCore(mach config.Machine, feat config.Features, progs []*program.Program, seeds []*ArchState) (*Core, error) {
-	if err := mach.Validate(); err != nil {
-		return nil, err
-	}
-	if len(progs) == 0 {
-		return nil, fmt.Errorf("core: no programs")
-	}
-	if len(progs) > mach.Contexts {
-		return nil, fmt.Errorf("core: %d programs exceed %d contexts", len(progs), mach.Contexts)
-	}
-	if err := feat.Validate(); err != nil {
-		return nil, err
-	}
-
+// allocCore allocates every machine-sized structure of a core: the
+// register file, queues, recycle tables, completion wheel, contexts
+// and scratch buffers.  It initialises nothing; Reseed does that, for
+// fresh and reused cores alike.
+func allocCore(mach config.Machine) *Core {
 	intRegs := isa.NumIntRegs*mach.Contexts + mach.ExtraRegs
 	fpRegs := isa.NumFPRegs*mach.Contexts + mach.ExtraRegs
-
 	c := &Core{
-		mach:    mach,
-		feat:    feat,
-		rf:      regfile.New(intRegs, fpRegs),
-		pred:    bpred.New(bpred.Default(mach.Contexts)),
-		conf:    confidence.New(confidence.Default()),
-		mem:     cache.NewHierarchy(cache.DefaultHierarchy(mach.CacheScale)),
-		iqInt:   iq.New(mach.IQInt),
-		iqFP:    iq.New(mach.IQFP),
-		fus:     fu.New(fu.Config{IntUnits: mach.IntUnits, LSUnits: mach.LSUnits, FPUnits: mach.FPUnits}),
-		written: recycle.NewWrittenBits(mach.Contexts),
-		mdb:     recycle.NewMDB(mdbCapacity),
-		exec:    wheel.New(wheelHorizon),
-		Stats:   &stats.Sim{},
-		Obs:     &obs.Metrics{},
+		mach:      mach,
+		rf:        regfile.New(intRegs, fpRegs),
+		iqInt:     iq.New(mach.IQInt),
+		iqFP:      iq.New(mach.IQFP),
+		fus:       fu.New(fu.Config{IntUnits: mach.IntUnits, LSUnits: mach.LSUnits, FPUnits: mach.FPUnits}),
+		written:   recycle.NewWrittenBits(mach.Contexts),
+		mdb:       recycle.NewMDB(mdbCapacity),
+		exec:      wheel.New(wheelHorizon),
+		pendingSt: make([]*alist.Entry, 0, mach.Contexts*4),
+		due:       make([]*alist.Entry, 0, 64),
+		cands:     make([]ctxCand, 0, mach.Contexts),
+		Stats:     &stats.Sim{},
+		Obs:       &obs.Metrics{},
 	}
-	c.pendingSt = make([]*alist.Entry, 0, mach.Contexts*4)
-	c.due = make([]*alist.Entry, 0, 64)
-	c.cands = make([]ctxCand, 0, mach.Contexts)
+	for i := 0; i < mach.Contexts; i++ {
+		c.ctxs = append(c.ctxs, newContext(i, mach.ActiveList))
+	}
+	return c
+}
+
+// reset re-initialises every field of c from the validated arguments,
+// keeping only the storage allocCore built.  Fields not carried over
+// explicitly return to their zero value, so a field added to Core is
+// reset without touching this function.
+func (c *Core) reset(feat config.Features, progs []*program.Program, seeds []*ArchState, m Models) {
+	if m.Pred == nil {
+		m.Pred = bpred.New(bpred.Default(c.mach.Contexts))
+	}
+	if m.Conf == nil {
+		m.Conf = confidence.New(confidence.Default())
+	}
+	if m.Mem == nil {
+		m.Mem = cache.NewHierarchy(cache.DefaultHierarchy(c.mach.CacheScale))
+	}
+	perProg := c.Stats.PerProgram
+	if cap(perProg) < len(progs) {
+		perProg = make([]uint64, len(progs))
+	}
+	perProg = perProg[:len(progs)]
+	clear(perProg)
+	*c = Core{
+		mach:      c.mach,
+		feat:      feat,
+		rf:        c.rf,
+		pred:      m.Pred,
+		conf:      m.Conf,
+		mem:       m.Mem,
+		iqInt:     c.iqInt,
+		iqFP:      c.iqFP,
+		fus:       c.fus,
+		written:   c.written,
+		mdb:       c.mdb,
+		ctxs:      c.ctxs,
+		parts:     c.parts[:0],
+		progs:     c.progs[:0],
+		exec:      c.exec,
+		pendingSt: c.pendingSt[:0],
+		due:       c.due[:0],
+		cands:     c.cands[:0],
+		Stats:     c.Stats,
+		Obs:       c.Obs,
+	}
+	c.rf.Reset()
+	c.iqInt.Reset()
+	c.iqFP.Reset()
+	c.fus.Reset()
+	c.written.Reset()
+	c.mdb.Reset()
+	c.exec.Reset()
+	*c.Stats = stats.Sim{PerProgram: perProg}
+	*c.Obs = obs.Metrics{}
+	for _, t := range c.ctxs {
+		t.reset()
+	}
+
 	c.invariantEvery = feat.InvariantEvery
 	if c.invariantEvery == 0 {
 		c.invariantEvery = defaultInvariantEvery
@@ -205,26 +247,21 @@ func newCore(mach config.Machine, feat config.Features, progs []*program.Program
 		c.watchdogCycles = 0
 	}
 
-	for i := 0; i < mach.Contexts; i++ {
-		c.ctxs = append(c.ctxs, newContext(i, mach.ActiveList))
-	}
-
 	// Partition contexts evenly among programs; leftovers go to the
 	// first partitions.
-	per := mach.Contexts / len(progs)
-	extra := mach.Contexts % len(progs)
+	per := c.mach.Contexts / len(progs)
+	extra := c.mach.Contexts % len(progs)
 	next := 0
 	for pi, p := range progs {
-		if err := p.Validate(); err != nil {
-			return nil, err
-		}
 		var seed *ArchState
 		if pi < len(seeds) {
 			seed = seeds[pi]
 		}
-		lp := &loadedProgram{idx: pi, prog: p, mem: program.NewMemory(p)}
+		lp := &loadedProgram{idx: pi, prog: p}
 		if seed != nil && seed.Mem != nil {
 			lp.mem = seed.Mem
+		} else {
+			lp.mem = program.NewMemory(p)
 		}
 		c.progs = append(c.progs, lp)
 		n := per
@@ -245,8 +282,6 @@ func newCore(mach config.Machine, feat config.Features, progs []*program.Program
 			c.startPrimary(c.ctxs[part.primary], p.Entry, nil)
 		}
 	}
-	c.Stats.PerProgram = make([]uint64, len(progs))
-	return c, nil
 }
 
 // startPrimary initializes a context as a program's primary thread

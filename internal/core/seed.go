@@ -1,10 +1,11 @@
 // Core seeding: starting a detailed core from a mid-program
 // architectural state instead of the program entry.  Sampled
 // simulation (internal/sample) fast-forwards a program on the golden
-// emulator, then builds a seeded core for each detailed measurement
-// interval; the seeded core's committed instruction stream must match
-// the emulator continuing from the same state (seed_test.go holds the
-// cosimulation invariant over every workload).
+// emulator, then seeds a detailed core for each measurement interval
+// (reusing one core per worker through Reseed); the seeded core's
+// committed instruction stream must match the emulator continuing from
+// the same state (seed_test.go holds the cosimulation invariant over
+// every workload).
 package core
 
 import (
@@ -31,50 +32,75 @@ type ArchState struct {
 	Mem *program.Memory
 }
 
-// NewSeeded is New with per-program architectural seeds: seeds[i], when
-// non-nil, starts progs[i]'s primary context at the given mid-program
-// PC with the given register values and memory image instead of the
-// program entry.  A nil seeds slice or nil entry means a fresh start.
-// Microarchitectural state (predictor, caches, recycle tables) still
-// starts cold; use SeedMicroarch to inject pre-warmed models.
-func NewSeeded(mach config.Machine, feat config.Features, progs []*program.Program, seeds []*ArchState) (*Core, error) {
-	if len(seeds) != 0 && len(seeds) != len(progs) {
-		return nil, fmt.Errorf("core: %d seeds for %d programs", len(seeds), len(progs))
-	}
-	for i, s := range seeds {
-		if s == nil {
-			continue
-		}
-		if _, ok := progs[i].PCToIndex(s.PC); !ok {
-			return nil, fmt.Errorf("core: seed %d: pc 0x%x outside %s text", i, s.PC, progs[i].Name)
-		}
-		if s.Regs[isa.RegZero] != 0 {
-			return nil, fmt.Errorf("core: seed %d: nonzero zero register", i)
-		}
-	}
-	return newCore(mach, feat, progs, seeds)
+// Models are the long-lived microarchitectural models a core adopts
+// at construction: branch predictor, confidence estimator and cache
+// hierarchy.  The core trains the models it is given in place (it does
+// not copy them).  A nil field builds a fresh, cold default.  Supplied
+// models must be built with the configurations New uses —
+// bpred.Default for the machine's context count, confidence.Default,
+// and the machine's DefaultHierarchy — or the model diverges from the
+// configured machine.
+type Models struct {
+	Pred *bpred.Predictor
+	Conf *confidence.Estimator
+	Mem  *cache.Hierarchy
 }
 
-// SeedMicroarch replaces the core's branch predictor, confidence
-// estimator, and/or cache hierarchy with externally warmed instances
-// (nil arguments keep the fresh defaults).  The replacements must be
-// built with the same configurations New uses — bpred.Default for the
-// machine's context count, confidence.Default, and the machine's
-// DefaultHierarchy — or the model diverges from the configured
-// machine.  Seeding is only legal before the first cycle.
-func (c *Core) SeedMicroarch(pred *bpred.Predictor, conf *confidence.Estimator, mem *cache.Hierarchy) {
-	if c.cycle != 0 {
-		panic("core: SeedMicroarch called after the first cycle")
+// NewSeeded is New with per-program architectural seeds and pre-warmed
+// models: seeds[i], when non-nil, starts progs[i]'s primary context at
+// the given mid-program PC with the given register values and memory
+// image instead of the program entry, and the core adopts m's models
+// (see Models).  A nil seeds slice or nil entry means a fresh start.
+// The recycle tables always start cold.
+func NewSeeded(mach config.Machine, feat config.Features, progs []*program.Program, seeds []*ArchState, m Models) (*Core, error) {
+	if err := mach.Validate(); err != nil {
+		return nil, err
 	}
-	if pred != nil {
-		c.pred = pred
+	c := allocCore(mach)
+	if err := c.Reseed(feat, progs, seeds, m); err != nil {
+		return nil, err
 	}
-	if conf != nil {
-		c.conf = conf
+	return c, nil
+}
+
+// Reseed re-initialises c in place to the state NewSeeded(c's machine,
+// feat, progs, seeds, m) builds, reusing c's storage, so one core can
+// run many independent intervals without reallocating.  NewSeeded
+// itself initialises through Reseed, so a reseeded core is the same
+// machine as a fresh one.  The previous run's Stats and Obs are
+// overwritten in place; copy them first to keep them.  Attached
+// recorders, the poll hook and CommitHook are detached.  On error c is
+// left unchanged.
+func (c *Core) Reseed(feat config.Features, progs []*program.Program, seeds []*ArchState, m Models) error {
+	if len(progs) == 0 {
+		return fmt.Errorf("core: no programs")
 	}
-	if mem != nil {
-		c.mem = mem
+	if len(progs) > c.mach.Contexts {
+		return fmt.Errorf("core: %d programs exceed %d contexts", len(progs), c.mach.Contexts)
 	}
+	if err := feat.Validate(); err != nil {
+		return err
+	}
+	if len(seeds) != 0 && len(seeds) != len(progs) {
+		return fmt.Errorf("core: %d seeds for %d programs", len(seeds), len(progs))
+	}
+	for i, p := range progs {
+		if err := p.Validate(); err != nil {
+			return err
+		}
+		if i >= len(seeds) || seeds[i] == nil {
+			continue
+		}
+		s := seeds[i]
+		if _, ok := p.PCToIndex(s.PC); !ok {
+			return fmt.Errorf("core: seed %d: pc 0x%x outside %s text", i, s.PC, p.Name)
+		}
+		if s.Regs[isa.RegZero] != 0 {
+			return fmt.Errorf("core: seed %d: nonzero zero register", i)
+		}
+	}
+	c.reset(feat, progs, seeds, m)
+	return nil
 }
 
 // TagAddr disambiguates program address spaces in the shared caches

@@ -39,6 +39,14 @@ func New(cfg Config) *Pool {
 	}
 }
 
+// Reset frees every unit, dividers included, as at construction.
+func (p *Pool) Reset() {
+	p.cycle = 0
+	p.intUsed, p.lsUsed, p.fpUsed = 0, 0, 0
+	clear(p.intDivBusy)
+	clear(p.fpDivBusy)
+}
+
 // Config returns the pool's configuration.
 func (p *Pool) Config() Config { return p.cfg }
 

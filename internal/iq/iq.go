@@ -33,6 +33,13 @@ func (q *Queue) bump(ctx, delta int) {
 	q.counts[ctx] += delta
 }
 
+// Reset empties the queue without releasing its storage.
+func (q *Queue) Reset() {
+	clear(q.ents)
+	q.ents = q.ents[:0]
+	q.counts = q.counts[:0]
+}
+
 // Capacity returns the maximum occupancy.
 func (q *Queue) Capacity() int { return q.cap }
 

@@ -6,8 +6,9 @@
 package program
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"recyclesim/internal/isa"
 )
@@ -85,11 +86,19 @@ type Memory struct {
 // NewMemory creates a memory initialized from the program's data image.
 func NewMemory(p *Program) *Memory {
 	m := &Memory{words: make(map[uint64]uint64, len(p.Data)+64)}
+	m.Reset(p)
+	return m
+}
+
+// Reset returns m to the program's initial data image, keeping the
+// map's storage, so a memory reused across sampled intervals does not
+// regrow from empty each time.
+func (m *Memory) Reset(p *Program) {
+	clear(m.words)
 	//simlint:ignore determinism puresim -- keys land in a map again; align maps distinct keys to distinct slots, so insertion order is immaterial
 	for a, v := range p.Data {
 		m.words[align(a)] = v
 	}
-	return m
 }
 
 func align(addr uint64) uint64 { return addr &^ 7 }
@@ -120,21 +129,23 @@ type Word struct {
 	Val  uint64
 }
 
-// Delta returns the words of m whose values differ from base, sorted
-// by address.  m must derive from base by writes only (memories only
-// grow and writes never remove words, so m's key set is a superset of
-// the keys it shares with base); the result applied to a clone of base
-// with Apply reproduces m exactly.
-func (m *Memory) Delta(base *Memory) []Word {
-	var out []Word
+// AppendDelta appends to dst the words of m whose values differ from
+// base, sorted by address, and returns the extended slice; a caller
+// capturing checkpoints repeatedly reuses one buffer this way.  m must
+// derive from base by writes only (memories only grow and writes never
+// remove words, so m's key set is a superset of the keys it shares
+// with base); the delta applied to a clone of base with Apply
+// reproduces m exactly.
+func (m *Memory) AppendDelta(dst []Word, base *Memory) []Word {
+	n := len(dst)
 	//simlint:ignore determinism puresim -- the delta is sorted by address immediately below
 	for a, v := range m.words {
 		if base.words[a] != v {
-			out = append(out, Word{Addr: a, Val: v})
+			dst = append(dst, Word{Addr: a, Val: v})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
-	return out
+	slices.SortFunc(dst[n:], func(a, b Word) int { return cmp.Compare(a.Addr, b.Addr) })
+	return dst
 }
 
 // Apply writes the delta words into m.

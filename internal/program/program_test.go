@@ -116,7 +116,7 @@ func TestMemoryDeltaApplyRoundTrip(t *testing.T) {
 	m.Write(DataBase+8, 9)   // written back to its initial value: not in the delta
 	m.Write(StackBase-16, 5) // new word
 	m.Write(0x4000, 1)       // new word, lower address
-	delta := m.Delta(base)
+	delta := m.AppendDelta(nil, base)
 	want := []Word{{0x4000, 1}, {DataBase, 100}, {StackBase - 16, 5}}
 	if len(delta) != len(want) {
 		t.Fatalf("delta %v, want %v", delta, want)
@@ -126,15 +126,28 @@ func TestMemoryDeltaApplyRoundTrip(t *testing.T) {
 			t.Fatalf("delta[%d] = %+v, want %+v", i, delta[i], want[i])
 		}
 	}
-	r := NewMemory(p)
-	r.Apply(delta)
-	for _, a := range []uint64{DataBase, DataBase + 8, StackBase - 16, 0x4000, 0x9999} {
-		if r.Read(a) != m.Read(a) {
-			t.Errorf("addr 0x%x: restored %d != original %d", a, r.Read(a), m.Read(a))
-		}
+	// Appending into a used buffer keeps its prefix and sorts only the
+	// appended words.
+	prefix := []Word{{0x9000, 1}}
+	if got := m.AppendDelta(prefix, base); len(got) != 4 || got[0] != prefix[0] || got[1] != want[0] {
+		t.Errorf("AppendDelta into a used buffer = %v", got)
 	}
-	if r.Footprint() != m.Footprint() {
-		t.Errorf("footprint %d != %d", r.Footprint(), m.Footprint())
+
+	// Restore into a fresh image and into a dirtied one that Reset
+	// returns to the initial image.
+	dirty := m.Clone()
+	dirty.Write(0x5000, 3)
+	dirty.Reset(p)
+	for _, r := range []*Memory{NewMemory(p), dirty} {
+		r.Apply(delta)
+		for _, a := range []uint64{DataBase, DataBase + 8, StackBase - 16, 0x4000, 0x5000, 0x9999} {
+			if r.Read(a) != m.Read(a) {
+				t.Errorf("addr 0x%x: restored %d != original %d", a, r.Read(a), m.Read(a))
+			}
+		}
+		if r.Footprint() != m.Footprint() {
+			t.Errorf("footprint %d != %d", r.Footprint(), m.Footprint())
+		}
 	}
 }
 
@@ -142,7 +155,7 @@ func TestMemoryDeltaApplyRoundTrip(t *testing.T) {
 func TestMemoryDeltaEmpty(t *testing.T) {
 	p := prog2()
 	p.Data = map[uint64]uint64{DataBase: 3}
-	if d := NewMemory(p).Delta(NewMemory(p)); len(d) != 0 {
+	if d := NewMemory(p).AppendDelta(nil, NewMemory(p)); len(d) != 0 {
 		t.Errorf("fresh memory delta = %v, want empty", d)
 	}
 }

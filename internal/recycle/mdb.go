@@ -36,6 +36,12 @@ func NewMDB(capacity int) *MDB {
 	}
 }
 
+// Reset empties the buffer without releasing its storage.
+func (m *MDB) Reset() {
+	m.fifo = m.fifo[:0]
+	clear(m.index)
+}
+
 // InsertLoad records an executed load.  Re-inserting the same (pc,
 // addr) refreshes the entry.
 func (m *MDB) InsertLoad(pc, addr uint64) {

@@ -48,14 +48,26 @@ func New(numInt, numFP int) *File {
 	}
 	f.freeInt = make([]PhysReg, 0, numInt)
 	f.freeFP = make([]PhysReg, 0, numFP)
-	for r := numInt + numFP - 1; r >= 0; r-- {
-		if r >= numInt {
+	f.Reset()
+	return f
+}
+
+// Reset returns the file to its freshly built state — every register
+// free, zero and not ready, free lists in allocation order — without
+// reallocating.
+func (f *File) Reset() {
+	clear(f.vals)
+	clear(f.ready)
+	clear(f.refs)
+	f.freeInt, f.freeFP = f.freeInt[:0], f.freeFP[:0]
+	for r := f.NumInt + f.NumFP - 1; r >= 0; r-- {
+		if r >= f.NumInt {
 			f.freeFP = append(f.freeFP, PhysReg(r))
 		} else {
 			f.freeInt = append(f.freeInt, PhysReg(r))
 		}
 	}
-	return f
+	f.AllocFailures = 0
 }
 
 // IsFP reports which pool the register belongs to.

@@ -37,13 +37,21 @@ type Checkpoint struct {
 // the program's initial memory image (program.NewMemory of the same
 // program); the checkpoint's memory is the delta against it.
 func Capture(e *emu.Emulator, base *program.Memory) *Checkpoint {
-	return &Checkpoint{
+	cp := &Checkpoint{}
+	cp.captureFrom(e, base)
+	return cp
+}
+
+// captureFrom overwrites cp with the emulator's state as Capture
+// would, reusing cp's delta storage.
+func (cp *Checkpoint) captureFrom(e *emu.Emulator, base *program.Memory) {
+	*cp = Checkpoint{
 		Program: e.Prog.Name,
 		PC:      e.PC,
 		Retired: e.Retired,
 		Halted:  e.Halted,
 		Regs:    e.Regs,
-		Mem:     e.Mem.Delta(base),
+		Mem:     e.Mem.AppendDelta(cp.Mem[:0], base),
 	}
 }
 
@@ -51,32 +59,51 @@ func Capture(e *emu.Emulator, base *program.Memory) *Checkpoint {
 // must be the image the checkpoint was captured from (matched by name
 // and by the PC landing inside its text).
 func (cp *Checkpoint) Restore(p *program.Program) (*emu.Emulator, error) {
+	e := &emu.Emulator{}
+	if err := cp.restoreInto(e, p); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// restoreInto is Restore into an existing emulator: e is overwritten
+// with the checkpoint's state, and e.Mem, when non-nil, is reset to the
+// program's initial image and reused rather than reallocated.  On
+// error e is left unchanged.
+func (cp *Checkpoint) restoreInto(e *emu.Emulator, p *program.Program) error {
 	if p.Name != cp.Program {
-		return nil, fmt.Errorf("sample: checkpoint of %q restored against %q", cp.Program, p.Name)
+		return fmt.Errorf("sample: checkpoint of %q restored against %q", cp.Program, p.Name)
 	}
 	if _, ok := p.PCToIndex(cp.PC); !ok && !cp.Halted {
-		return nil, fmt.Errorf("sample: checkpoint pc 0x%x outside %s text", cp.PC, p.Name)
+		return fmt.Errorf("sample: checkpoint pc 0x%x outside %s text", cp.PC, p.Name)
 	}
 	if cp.Regs[isa.RegZero] != 0 {
-		return nil, fmt.Errorf("sample: checkpoint has nonzero zero register")
+		return fmt.Errorf("sample: checkpoint has nonzero zero register")
 	}
-	mem := program.NewMemory(p)
+	mem := e.Mem
+	if mem == nil {
+		mem = program.NewMemory(p)
+	} else {
+		mem.Reset(p)
+	}
 	mem.Apply(cp.Mem)
-	return &emu.Emulator{
+	*e = emu.Emulator{
 		Prog:    p,
 		Mem:     mem,
 		PC:      cp.PC,
 		Regs:    cp.Regs,
 		Halted:  cp.Halted,
 		Retired: cp.Retired,
-	}, nil
+	}
+	return nil
 }
 
 // ckptMagic versions the binary encoding.
 const ckptMagic = "RSCKPT1\n"
 
-// maxCkptWords bounds decoded delta sizes so a corrupt or hostile
-// length field cannot drive a giant allocation.
+// maxCkptWords bounds decoded delta sizes.  The decoder also grows the
+// delta only as words actually arrive, so a corrupt or hostile length
+// field cannot drive an allocation much larger than the input.
 const maxCkptWords = 1 << 28
 
 // EncodeBinary writes the checkpoint in the deterministic binary
@@ -171,16 +198,15 @@ func DecodeBinary(r io.Reader) (*Checkpoint, error) {
 	if nMem > maxCkptWords {
 		return nil, fmt.Errorf("sample: checkpoint delta count %d too large", nMem)
 	}
-	if nMem > 0 {
-		cp.Mem = make([]program.Word, nMem)
-		for i := range cp.Mem {
-			if cp.Mem[i].Addr, err = get(); err != nil {
-				return nil, fmt.Errorf("sample: checkpoint word %d: %w", i, err)
-			}
-			if cp.Mem[i].Val, err = get(); err != nil {
-				return nil, fmt.Errorf("sample: checkpoint word %d: %w", i, err)
-			}
+	for i := uint64(0); i < nMem; i++ {
+		var w program.Word
+		if w.Addr, err = get(); err != nil {
+			return nil, fmt.Errorf("sample: checkpoint word %d: %w", i, err)
 		}
+		if w.Val, err = get(); err != nil {
+			return nil, fmt.Errorf("sample: checkpoint word %d: %w", i, err)
+		}
+		cp.Mem = append(cp.Mem, w)
 	}
 	return cp, nil
 }

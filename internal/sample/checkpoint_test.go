@@ -2,6 +2,8 @@ package sample
 
 import (
 	"bytes"
+	"encoding/binary"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -179,5 +181,74 @@ func TestDecodeBinaryRejectsCorrupt(t *testing.T) {
 	}
 	if _, err := DecodeBinary(bytes.NewReader(bad)); err == nil {
 		t.Error("absurd delta count accepted")
+	}
+}
+
+// hostileCountInput is a 562-byte binary checkpoint — one-byte name, no
+// delta words — whose delta count claims maxCkptWords entries.  A
+// decoder that sized the delta from the count would allocate 4 GiB
+// before discovering the input ends.
+func hostileCountInput(t testing.TB) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := (&Checkpoint{Program: "x"}).EncodeBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	b := buf.Bytes()
+	binary.LittleEndian.PutUint64(b[len(b)-8:], maxCkptWords)
+	return b
+}
+
+func TestDecodeBinaryHostileCountAllocation(t *testing.T) {
+	in := hostileCountInput(t)
+	if len(in) != 562 {
+		t.Fatalf("hostile input is %d bytes, want 562", len(in))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeBinary(bytes.NewReader(in))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("delta count beyond the input accepted")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("decoding %d bytes allocated %d bytes; want under 1 MiB", len(in), got)
+	}
+}
+
+// Restoring into an emulator whose memory image already holds another
+// point's state resumes exactly like a fresh Restore.
+func TestRestoreIntoReusedEmulator(t *testing.T) {
+	p, err := workload.ByName("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := program.NewMemory(p)
+	ref := emu.New(p)
+	ref.Run(20_000)
+	cp := Capture(ref, base)
+
+	reused := emu.New(p)
+	reused.Run(60_000) // a larger, different memory image to reuse
+	if err := cp.restoreInto(reused, p); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := cp.Restore(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reused.PC != fresh.PC || reused.Retired != fresh.Retired || reused.Regs != fresh.Regs {
+		t.Fatal("restored architectural state differs")
+	}
+	var got, want emu.StepInfo
+	for i := 0; i < 20_000; i++ {
+		fresh.StepInto(&want)
+		reused.StepInto(&got)
+		if got != want {
+			t.Fatalf("step %d after restoreInto: %+v != %+v", i, got, want)
+		}
+	}
+	if d := reused.Mem.AppendDelta(fresh.Mem.AppendDelta(nil, reused.Mem), fresh.Mem); len(d) != 0 {
+		t.Errorf("memory images differ in %d words after identical execution", len(d))
 	}
 }

@@ -30,21 +30,21 @@ type Config struct {
 	Confidence float64
 
 	// Workers bounds interval-simulation parallelism (<= 0 selects
-	// GOMAXPROCS).  Intervals are fully independent — each owns its
-	// checkpoint and a private clone of the warmed models — so results
-	// are byte-identical for every worker count.
+	// GOMAXPROCS) and, with it, memory: each worker owns one snapshot
+	// buffer and one interval core, reused from interval to interval.
+	// Intervals are fully independent — each runs from its own
+	// checkpoint and its own copy of the warmed models — so results are
+	// byte-identical for every worker count.
 	Workers int
 
 	// Poll, when non-nil, is the cooperative-cancellation hook: it is
 	// consulted between periods of the checkpoint pass and threaded
 	// into each interval's detailed core (core.SetPoll).  A non-nil
-	// return abandons the run with that error.
+	// return abandons the run with that error.  The pass and the
+	// intervals run concurrently, but Run serializes the calls, so Poll
+	// need not be safe for concurrent use.
 	Poll func() error
 }
-
-// seedChunk bounds how many interval seeds (architectural checkpoint +
-// warmed-model clone) exist at once; see the chunked loop in Run.
-const seedChunk = 64
 
 func (cfg Config) withDefaults() Config {
 	if cfg.Period == 0 {
@@ -157,74 +157,79 @@ func Run(mach config.Machine, feat config.Features, prog *program.Program, maxIn
 	// instruction, so at each measurement point the models carry the
 	// state they would have accumulated since program start (SMARTS
 	// functional warming).  At each measurement start the pass captures
-	// an architectural checkpoint plus a deep clone of the warm models;
-	// the detailed intervals consume those snapshots in parallel without
-	// re-executing any fast-forward work.
+	// an architectural checkpoint plus a snapshot of the warm models
+	// into a free slot and hands it to a worker; the detailed intervals
+	// run in parallel with the pass and never re-execute fast-forward
+	// work.
 	//
-	// Seeds are produced and consumed in chunks of seedChunk so at most
-	// that many model clones are alive at once (a clone is a couple of
-	// MB of tag arrays, and a long run can have thousands of intervals).
-	// Chunking does not affect the estimate: the pass is sequential,
-	// chunk boundaries depend only on the schedule, and every interval
-	// writes its own slot.
-	type seedpoint struct {
-		cp *Checkpoint
-		w  *Warmup
-	}
+	// There is one slot per worker, so at most that many snapshots
+	// exist however long the run (a snapshot is a couple of MB of tag
+	// arrays).  A slot keeps its buffers, memory image and interval
+	// core from one interval to the next.  Slot reuse does not affect
+	// the estimate: the pass alone decides each interval's seed, and
+	// every interval writes its own result slot.
+	cfg.Poll = sweep.Serial(cfg.Poll)
 	nMax := int(maxInsts / cfg.Period)
+	slots := make([]intervalSlot, min(sweep.Workers(cfg.Workers), nMax))
+	progs := []*program.Program{prog}
 	base := program.NewMemory(prog)
 	e := emu.New(prog)
 	master := NewWarmup(mach)
 	ff := cfg.Period - cfg.IntervalLen - cfg.WarmupLen
-	ivals := make([]Interval, 0, nMax)
-	errs := make([]error, 0, nMax)
+	ivals := make([]Interval, nMax)
+	errs := make([]error, nMax)
 	var si emu.StepInfo
-	for done := 0; done < nMax && !e.Halted; {
-		seeds := make([]seedpoint, 0, seedChunk)
-		for k := done; k < nMax && len(seeds) < seedChunk && !e.Halted; k++ {
-			if cfg.Poll != nil {
-				if err := cfg.Poll(); err != nil {
-					return nil, err
-				}
-			}
-			for i := uint64(0); i < ff && !e.Halted; i++ {
-				e.StepInto(&si)
-				master.Observe(&si)
-			}
-			if e.Halted {
-				break
-			}
-			seeds = append(seeds, seedpoint{cp: Capture(e, base), w: master.Clone()})
-			for i := uint64(0); i < cfg.WarmupLen+cfg.IntervalLen && !e.Halted; i++ {
-				e.StepInto(&si)
-				master.Observe(&si)
-			}
-			if e.Halted {
-				// The program ended inside the measured tail of period
-				// k: that interval is truncated, so drop it.
-				seeds = seeds[:len(seeds)-1]
+	var pollErr error
+	n := 0
+	produce := func(s int) bool {
+		if n >= nMax || e.Halted {
+			return false
+		}
+		if cfg.Poll != nil {
+			if pollErr = cfg.Poll(); pollErr != nil {
+				return false
 			}
 		}
-		m := len(seeds)
-		if m == 0 {
-			break
+		for i := uint64(0); i < ff && !e.Halted; i++ {
+			e.StepInto(&si)
+			master.Observe(&si)
 		}
-		ivals = ivals[:done+m]
-		errs = errs[:done+m]
-		sweep.Run(m, cfg.Workers, func(j int) {
-			k := done + j
-			if cfg.Poll != nil {
-				if err := cfg.Poll(); err != nil {
-					errs[k] = err
-					return
-				}
-			}
-			ivals[k], errs[k] = runInterval(mach, feat, prog, seeds[j].cp, seeds[j].w, cfg)
-			ivals[k].Index = k
-		})
-		done += m
+		if e.Halted {
+			return false
+		}
+		sl := &slots[s]
+		sl.k = n
+		sl.cp.captureFrom(e, base)
+		master.CloneInto(&sl.warm)
+		for i := uint64(0); i < cfg.WarmupLen+cfg.IntervalLen && !e.Halted; i++ {
+			e.StepInto(&si)
+			master.Observe(&si)
+		}
+		if e.Halted {
+			// The program ended inside the measured tail of this
+			// period: the interval is truncated, so drop it.
+			return false
+		}
+		n++
+		return true
 	}
-	n := len(ivals)
+	consume := func(s int) {
+		sl := &slots[s]
+		k := sl.k
+		if cfg.Poll != nil {
+			if err := cfg.Poll(); err != nil {
+				errs[k] = err
+				return
+			}
+		}
+		ivals[k], errs[k] = sl.runInterval(mach, feat, progs, cfg)
+		ivals[k].Index = k
+	}
+	sweep.Stream(len(slots), produce, consume)
+	if pollErr != nil {
+		return nil, pollErr
+	}
+	ivals, errs = ivals[:n], errs[:n]
 	if n == 0 {
 		return nil, fmt.Errorf("sample: %s halts before one full period (%d insts); use a full detailed run",
 			prog.Name, cfg.Period)
@@ -268,28 +273,46 @@ func Run(mach config.Machine, feat config.Features, prog *program.Program, maxIn
 	return res, nil
 }
 
-// runInterval restores one measurement-start checkpoint, seeds a
-// detailed core with the interval's private clone of the continuously
-// warmed models, runs the detached warmup, and measures the interval.
-// A panic inside the core is contained into the interval's error so one
-// bad interval cannot take down a parallel sampled sweep.
-func runInterval(mach config.Machine, feat config.Features, prog *program.Program, cp *Checkpoint, w *Warmup, cfg Config) (iv Interval, err error) {
+// intervalSlot is one worker's reusable interval state: the seed the
+// checkpoint pass fills (checkpoint plus model snapshot) and the
+// emulator image and core the interval runs on.
+type intervalSlot struct {
+	k    int        // index of the interval seeded into this slot
+	cp   Checkpoint // architectural state at measurement start
+	warm Warmup     // snapshot of the master warmup; the core trains it
+	emu  emu.Emulator
+	seed core.ArchState
+	core *core.Core // built by the slot's first interval, reseeded after
+}
+
+// runInterval restores the slot's measurement-start checkpoint, seeds
+// the slot's core with its snapshot of the continuously warmed models,
+// runs the detached warmup, and measures the interval.  A panic inside
+// the core is contained into the interval's error so one bad interval
+// cannot take down a parallel sampled sweep; the core it left in an
+// unknown state is discarded.
+func (sl *intervalSlot) runInterval(mach config.Machine, feat config.Features, progs []*program.Program, cfg Config) (iv Interval, err error) {
 	defer func() {
 		if r := recover(); r != nil {
+			sl.core = nil
 			err = fmt.Errorf("panic in detailed interval: %v", r)
 		}
 	}()
 
-	e, err := cp.Restore(prog)
+	if err := sl.cp.restoreInto(&sl.emu, progs[0]); err != nil {
+		return iv, err
+	}
+	sl.seed = core.ArchState{PC: sl.emu.PC, Regs: sl.emu.Regs, Mem: sl.emu.Mem}
+	seeds := []*core.ArchState{&sl.seed}
+	if sl.core == nil {
+		sl.core, err = core.NewSeeded(mach, feat, progs, seeds, sl.warm.Models)
+	} else {
+		err = sl.core.Reseed(feat, progs, seeds, sl.warm.Models)
+	}
 	if err != nil {
 		return iv, err
 	}
-	seed := &core.ArchState{PC: e.PC, Regs: e.Regs, Mem: e.Mem}
-	c, err := core.NewSeeded(mach, feat, []*program.Program{prog}, []*core.ArchState{seed})
-	if err != nil {
-		return iv, err
-	}
-	c.SeedMicroarch(w.Pred, w.Conf, w.Mem)
+	c := sl.core
 	if cfg.Poll != nil {
 		c.SetPoll(0, cfg.Poll)
 	}
@@ -312,7 +335,7 @@ func runInterval(mach config.Machine, feat config.Features, prog *program.Progra
 	if delta.Committed == 0 {
 		return iv, fmt.Errorf("nothing committed in measured region (cycles %d..%d)", snap.Cycles, c.Stats.Cycles)
 	}
-	iv.StartInst = cp.Retired + snap.Committed
+	iv.StartInst = sl.cp.Retired + snap.Committed
 	iv.Insts = delta.Committed
 	iv.Cycles = delta.Cycles
 	iv.CPI = float64(delta.Cycles) / float64(delta.Committed)

@@ -21,10 +21,10 @@ const warmupLine = 64
 // measurement interval starts with the state those structures would
 // have accumulated over the whole run.  One Warmup instance observes
 // the entire instruction stream (warming is continuous from program
-// start, as in SMARTS functional warming); Clone snapshots it at each
-// measurement point.  The models are built with the same default
-// configurations core.New uses and are meant to be handed to
-// Core.SeedMicroarch afterwards.
+// start, as in SMARTS functional warming); CloneInto snapshots it into
+// a reused buffer at each measurement point.  The models are built
+// with the same default configurations core.New uses, and a snapshot's
+// Models are handed to core.NewSeeded or Core.Reseed.
 //
 // The warmup mirrors the core's primary-path training exactly: Lookup,
 // speculative history update, history repair on a mispredict, and
@@ -34,9 +34,7 @@ const warmupLine = 64
 // bits, MDB, active-list traces) are not modelled; those stay cold at
 // interval entry, which is the documented bias of sampled mode.
 type Warmup struct {
-	Pred *bpred.Predictor
-	Conf *confidence.Estimator
-	Mem  *cache.Hierarchy
+	core.Models
 
 	progIdx  int
 	now      uint64 // pseudo-cycle driving cache timing/LRU state
@@ -47,11 +45,11 @@ type Warmup struct {
 // NewWarmup builds fresh default models for the machine, matching what
 // core.New constructs.
 func NewWarmup(mach config.Machine) *Warmup {
-	return &Warmup{
+	return &Warmup{Models: core.Models{
 		Pred: bpred.New(bpred.Default(mach.Contexts)),
 		Conf: confidence.New(confidence.Default()),
 		Mem:  cache.NewHierarchy(cache.DefaultHierarchy(mach.CacheScale)),
-	}
+	}}
 }
 
 // Clone deep-copies the warmup state — models and line-tracking — so a
@@ -59,11 +57,31 @@ func NewWarmup(mach config.Machine) *Warmup {
 // warmed models to its detailed core while the master warmup keeps
 // advancing.
 func (w *Warmup) Clone() *Warmup {
-	q := *w
-	q.Pred = w.Pred.Clone()
-	q.Conf = w.Conf.Clone()
-	q.Mem = w.Mem.Clone()
-	return &q
+	q := &Warmup{}
+	w.CloneInto(q)
+	return q
+}
+
+// CloneInto makes dst a deep copy of w, reusing dst's model storage
+// (see the models' CloneInto); a zero Warmup is a valid dst.  Sampled
+// runs refill one buffer per worker this way instead of allocating a
+// snapshot per interval.
+func (w *Warmup) CloneInto(dst *Warmup) {
+	m := dst.Models
+	*dst = *w
+	if m.Pred == nil {
+		m.Pred = &bpred.Predictor{}
+	}
+	if m.Conf == nil {
+		m.Conf = &confidence.Estimator{}
+	}
+	if m.Mem == nil {
+		m.Mem = &cache.Hierarchy{}
+	}
+	w.Pred.CloneInto(m.Pred)
+	w.Conf.CloneInto(m.Conf)
+	w.Mem.CloneInto(m.Mem)
+	dst.Models = m
 }
 
 // Observe feeds one architecturally executed instruction into the

@@ -19,12 +19,6 @@ import (
 // garbage rather than wrong answers).
 const keySchema = "recyclesim-cell-v1"
 
-// DefaultInsts is the committed-instruction budget of a cell whose
-// Insts is zero.  It is part of cell identity: a cell submitted with
-// Insts 0 shares its record with the same cell spelled out at
-// DefaultInsts.
-const DefaultInsts = 200_000
-
 // Cell identifies one simulation cell: the full machine and feature
 // configuration (by content, not by name), the workload mix, the
 // committed-instruction budget, and the sampling schedule for sampled
@@ -36,7 +30,7 @@ type Cell struct {
 	Machine   config.Machine  `json:"machine"`
 	Features  config.Features `json:"features"`
 	Workloads []string        `json:"workloads"`
-	// Insts is the committed-instruction budget (0 = DefaultInsts);
+	// Insts is the committed-instruction budget (0 = config.DefaultInsts);
 	// the cycle budget is fixed by the executor (fleet.Execute).
 	Insts uint64 `json:"insts,omitempty"`
 	// Sampling, when non-nil, makes this a sampled cell.
@@ -47,7 +41,7 @@ type Cell struct {
 // default applied.
 func (c Cell) Budget() uint64 {
 	if c.Insts == 0 {
-		return DefaultInsts
+		return config.DefaultInsts
 	}
 	return c.Insts
 }

@@ -99,6 +99,35 @@ func TestCellKeyNormalizesSamplingDefaults(t *testing.T) {
 	}
 }
 
+// TestCellKeyPinned pins two cell keys byte for byte, so a change to
+// the key derivation or to the default budget a zero-Insts cell keys
+// with cannot pass unnoticed; it would silently orphan every stored
+// record.  A zero budget keys exactly like config.DefaultInsts spelled
+// out.
+func TestCellKeyPinned(t *testing.T) {
+	for _, tc := range []struct {
+		cell Cell
+		want string
+	}{
+		{Cell{Machine: config.Big216(), Features: config.RECRSRU, Workloads: []string{"gcc"}},
+			"65677533dc5ad1837ba97468dfb035966684e7d65a676008ff1a5e0bb6ffc31c"},
+		{Cell{Machine: config.Big216(), Features: config.SMT, Workloads: []string{"go", "li"}, Sampling: &Sampling{}},
+			"fbafa2cf2832b974fa4516a342781c6ee87f912148720bd8dd4149542cb6a2fd"},
+	} {
+		for _, insts := range []uint64{0, config.DefaultInsts} {
+			c := tc.cell
+			c.Insts = insts
+			got, err := c.Key()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != tc.want {
+				t.Errorf("%s at insts=%d keyed %s, want %s", c.Name(), insts, got, tc.want)
+			}
+		}
+	}
+}
+
 // TestHashProgramsDeterministic: the workload hash is stable across
 // calls (the data image is a map; the hash must sort it).
 func TestHashProgramsDeterministic(t *testing.T) {

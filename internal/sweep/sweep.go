@@ -34,9 +34,7 @@ func Run(n, workers int, job func(i int)) {
 	if n <= 0 {
 		return
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers = Workers(workers)
 	if workers > n {
 		workers = n
 	}
@@ -62,4 +60,80 @@ func Run(n, workers int, job func(i int)) {
 		}()
 	}
 	wg.Wait()
+}
+
+// Workers resolves a worker-count option: workers <= 0 selects
+// GOMAXPROCS.
+func Workers(workers int) int {
+	if workers <= 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return workers
+}
+
+// Serial wraps f so that concurrent callers take turns: the wrapped
+// function is never running on two goroutines at once, so f itself
+// need not be safe for concurrent use.  A nil f stays nil.
+func Serial(f func() error) func() error {
+	if f == nil {
+		return nil
+	}
+	var mu sync.Mutex
+	return func() error {
+		mu.Lock()
+		defer mu.Unlock()
+		return f()
+	}
+}
+
+// Stream runs a sequential producer against a pool of consumers through
+// a fixed ring of slots.  produce(s) runs on the calling goroutine,
+// fills slot s with the next item and reports whether it produced one
+// (false ends the stream, leaving s unused); consume(s) then processes
+// that item on one of the pool's goroutines.  A slot returns to the
+// producer only after its consume has returned, so at most `slots`
+// items exist at once and a caller can keep one reusable buffer per
+// slot.  slots <= 0 selects GOMAXPROCS; with one slot, production and
+// consumption alternate on the calling goroutine.
+//
+// The same contract as Run keeps results independent of scheduling:
+// the producer alone decides what each item is, and each consume
+// writes only state reachable from its own item.
+func Stream(slots int, produce func(slot int) bool, consume func(slot int)) {
+	slots = Workers(slots)
+	if slots == 1 {
+		for produce(0) {
+			consume(0)
+		}
+		return
+	}
+	// Both channels hold slot ids, and only `slots` ids exist, so
+	// neither a worker's return of a slot nor a hand-off ever blocks.
+	free := make(chan int, slots)
+	work := make(chan int, slots)
+	for s := 0; s < slots; s++ {
+		free <- s
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < slots; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for s := range work {
+				consume(s)
+				free <- s
+			}
+		}()
+	}
+	defer func() {
+		close(work)
+		wg.Wait()
+	}()
+	for {
+		s := <-free
+		if !produce(s) {
+			return
+		}
+		work <- s
+	}
 }

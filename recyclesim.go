@@ -303,7 +303,7 @@ func RunContext(ctx context.Context, o Options) (*Result, error) {
 		}
 	}
 	if o.MaxInsts == 0 {
-		o.MaxInsts = 200_000
+		o.MaxInsts = config.DefaultInsts
 	}
 	if o.MaxCycles == 0 {
 		o.MaxCycles = 4 * o.MaxInsts

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"recyclesim/internal/config"
 	"recyclesim/internal/sample"
 	"recyclesim/internal/workload"
 )
@@ -78,7 +79,7 @@ func RunSampledContext(ctx context.Context, o Options) (*SampledResult, error) {
 		return nil, fmt.Errorf("recyclesim: sampled mode simulates one program, got %d", len(progs))
 	}
 	if o.MaxInsts == 0 {
-		o.MaxInsts = 200_000
+		o.MaxInsts = config.DefaultInsts
 	}
 
 	cfg := sample.Config{}
