@@ -6,6 +6,9 @@
 #   make build       compile everything, including examples
 #   make lint        the simulator-specific static analyzers (cmd/recyclelint)
 #   make test        full test suite under the race detector
+#   make perfbench   vet and test the separate perfbench module, which
+#                    ./... never compiles but which imports the library,
+#                    jobs and fleet APIs
 #   make fuzz        10s coverage-guided smoke of each fuzz target
 #                    (assembler, config validation, store record and
 #                    checkpoint decoding), seeded from the checked-in
@@ -23,9 +26,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build lint test fuzz smoke invariant bench bench-smoke
+.PHONY: check fmt vet build lint test perfbench fuzz smoke invariant bench bench-smoke
 
-check: fmt vet build lint test fuzz smoke
+check: fmt vet build lint test perfbench fuzz smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -44,6 +47,9 @@ lint:
 
 test:
 	$(GO) test -race ./...
+
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # One -fuzz pattern per invocation: the Go fuzzer only accepts a single
 # matching target when fuzzing (not just running seeds).

@@ -192,8 +192,8 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 		defer srv.Close()
 		fmt.Fprintf(stderr, "experiments: observability server on http://%s\n", srv.Addr())
-		agg := &aggregator{}
-		r.publish = func(s *stats.Sim, m *obs.Metrics) { srv.Publish(agg.add(s, m)) }
+		agg := server.NewAggregate("experiments")
+		r.publish = func(s *stats.Sim, m *obs.Metrics) { srv.Publish(agg.Add(s, m)) }
 	}
 
 	// Pass 2: compute every cell once — on the local worker pool, or on
@@ -454,31 +454,6 @@ func firstLine(s string) string {
 		return s[:i] + " [...]"
 	}
 	return s
-}
-
-// aggregator accumulates finished cells under a lock and builds the
-// immutable running-total snapshots the observability server publishes.
-type aggregator struct {
-	mu  sync.Mutex
-	agg stats.Sim
-	tel obs.Metrics
-	n   int
-}
-
-func (a *aggregator) add(s *stats.Sim, m *obs.Metrics) *obs.Snapshot {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.agg.Add(s)
-	a.tel.Add(m)
-	a.n++
-	st := a.agg
-	st.PerProgram = append([]uint64(nil), a.agg.PerProgram...)
-	tel := a.tel
-	return &obs.Snapshot{
-		Name:    fmt.Sprintf("experiments running aggregate (%d cells)", a.n),
-		Stats:   &st,
-		Metrics: &tel,
-	}
 }
 
 // runWithMeter wraps one compute pass (local or remote) with a stderr

@@ -155,6 +155,15 @@ func simError(c *core.Core, o Options, runErr error, panicVal any, stack []byte)
 	return se
 }
 
+// ctxKind classifies a context's error: ErrDeadline for an expired
+// deadline, ErrCanceled for anything else.
+func ctxKind(err error) error {
+	if errors.Is(err, context.DeadlineExceeded) {
+		return ErrDeadline
+	}
+	return ErrCanceled
+}
+
 func isLivelock(err error) bool {
 	var ll *core.LivelockError
 	return errors.As(err, &ll)

@@ -36,15 +36,12 @@ func healthyOption(insts uint64) Options {
 }
 
 // TestBatchContainsPoisonedCells is the containment acceptance test: a
-// batch with one panicking cell, one livelocked cell, and one canceled
-// cell must still complete every healthy cell, report one typed error
-// per poisoned cell (mapped back to its input index), and persist a
-// crash bundle carrying the flight-recorder dump for the panic.
+// batch with one panicking cell and one livelocked cell must still
+// complete every healthy cell, report one typed error per poisoned
+// cell (mapped back to its input index), and persist a crash bundle
+// carrying the flight-recorder dump for the panic.
 func TestBatchContainsPoisonedCells(t *testing.T) {
 	crashDir := t.TempDir()
-
-	canceled, cancel := context.WithCancel(context.Background())
-	cancel()
 
 	livelocked := RECRSRU
 	livelocked.WatchdogCycles = 1 // fires on the front-end fill gap
@@ -64,17 +61,12 @@ func TestBatchContainsPoisonedCells(t *testing.T) {
 	livelockCell.Features = livelocked
 	livelockCell.CrashDir = crashDir
 
-	cancelCell := healthyOption(20_000)
-	cancelCell.Context = canceled
-	cancelCell.PollEveryCycles = 64
-
 	opts := []Options{
 		healthyOption(20_000), // 0
 		panicCell,             // 1
 		healthyOption(20_000), // 2
 		livelockCell,          // 3
-		cancelCell,            // 4
-		healthyOption(20_000), // 5
+		healthyOption(20_000), // 4
 	}
 	results, err := RunBatch(opts, 3)
 	if err == nil {
@@ -82,7 +74,7 @@ func TestBatchContainsPoisonedCells(t *testing.T) {
 	}
 
 	// Healthy cells: complete results, untouched by their siblings.
-	for _, i := range []int{0, 2, 5} {
+	for _, i := range []int{0, 2, 4} {
 		if results[i] == nil {
 			t.Fatalf("healthy cell %d lost its result", i)
 		}
@@ -92,7 +84,7 @@ func TestBatchContainsPoisonedCells(t *testing.T) {
 	}
 
 	// Poisoned cells: typed errors, mapped to their indices.
-	wantKinds := map[int]error{1: ErrPanic, 3: ErrLivelock, 4: ErrCanceled}
+	wantKinds := map[int]error{1: ErrPanic, 3: ErrLivelock}
 	var joined interface{ Unwrap() []error }
 	if !errors.As(err, &joined) {
 		t.Fatalf("batch error %T does not unwrap to a list", err)
@@ -284,7 +276,7 @@ func TestDeadlineClassified(t *testing.T) {
 // explicit window, with the watchdog disabled, and with an uncancelled
 // context attached at an aggressive poll cadence.
 func TestWatchdogByteIdentity(t *testing.T) {
-	witness := func(mutate func(*Options)) (string, string, string) {
+	witness := func(ctx context.Context, mutate func(*Options)) (string, string, string) {
 		var commits strings.Builder
 		tel := &Telemetry{}
 		o := healthyOption(20_000)
@@ -294,30 +286,29 @@ func TestWatchdogByteIdentity(t *testing.T) {
 		}
 		o.Telemetry = tel
 		mutate(&o)
-		res, err := Run(o)
+		res, err := RunContext(ctx, o)
 		if err != nil {
 			t.Fatalf("healthy run failed: %v", err)
 		}
 		return commits.String(), fmt.Sprintf("%+v", *res), fmt.Sprintf("%+v", *tel)
 	}
 
-	baseC, baseS, baseT := witness(func(o *Options) {})
+	baseC, baseS, baseT := witness(context.Background(), func(o *Options) {})
 	if baseC == "" {
 		t.Fatal("no commits recorded")
 	}
-	variants := map[string]func(*Options){
-		"explicit window": func(o *Options) { o.Features.WatchdogCycles = 10_000 },
-		"watchdog off":    func(o *Options) { o.Features.WatchdogCycles = config.WatchdogOff },
-		"uncancelled context": func(o *Options) {
-			o.Context = context.Background()
-			ctx, cancel := context.WithCancel(context.Background())
-			t.Cleanup(cancel)
-			o.Context = ctx
-			o.PollEveryCycles = 64
-		},
+	live, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	variants := map[string]struct {
+		ctx    context.Context
+		mutate func(*Options)
+	}{
+		"explicit window":     {context.Background(), func(o *Options) { o.Features.WatchdogCycles = 10_000 }},
+		"watchdog off":        {context.Background(), func(o *Options) { o.Features.WatchdogCycles = config.WatchdogOff }},
+		"uncancelled context": {live, func(o *Options) { o.PollEveryCycles = 64 }},
 	}
-	for name, mutate := range variants {
-		c, s, tel := witness(mutate)
+	for name, v := range variants {
+		c, s, tel := witness(v.ctx, v.mutate)
 		if c != baseC {
 			t.Errorf("%s: commit stream diverged", name)
 		}
@@ -368,37 +359,6 @@ func TestInvariantPanicSurfacesAsSimError(t *testing.T) {
 	}
 }
 
-// TestBatchRetryRecoversFlakyHook: with Retries set, a job whose hook
-// fails only on the first attempt succeeds on the retry; without
-// retries the same job fails the batch.
-func TestBatchRetryRecoversFlakyHook(t *testing.T) {
-	flaky := func() Options {
-		attempt := 0
-		o := healthyOption(10_000)
-		o.hookCore = func(*core.Core) { attempt++ }
-		n := 0
-		o.CommitHook = func(CommitInfo) {
-			n++
-			if attempt == 1 && n == 50 {
-				panic("transient hook failure")
-			}
-		}
-		return o
-	}
-
-	results, err := RunBatchContext(context.Background(), []Options{flaky()}, BatchConfig{Workers: 1, Retries: 1})
-	if err != nil {
-		t.Fatalf("retry did not recover the flaky job: %v", err)
-	}
-	if results[0] == nil || results[0].Committed < 10_000 {
-		t.Fatal("retried job result missing or short")
-	}
-
-	if _, err := RunBatchContext(context.Background(), []Options{flaky()}, BatchConfig{Workers: 1}); !errors.Is(err, ErrPanic) {
-		t.Fatalf("without retries: err = %v, want ErrPanic", err)
-	}
-}
-
 // TestBatchContextCancelPreventsStart: a batch handed an already
 // canceled context runs nothing and reports ErrCanceled per job.
 func TestBatchContextCancelPreventsStart(t *testing.T) {
@@ -422,89 +382,5 @@ func TestBatchContextCancelPreventsStart(t *testing.T) {
 	}
 	if !errors.Is(err, ErrCanceled) {
 		t.Errorf("err = %v, want ErrCanceled", err)
-	}
-}
-
-// TestBatchRetryBackoff: with RetryDelay set, every retry is preceded
-// by a sleep following the capped exponential policy; the clock and
-// jitter are injected, so the asserted delays are exact.
-func TestBatchRetryBackoff(t *testing.T) {
-	alwaysPanics := func() Options {
-		o := healthyOption(10_000)
-		n := 0
-		o.CommitHook = func(CommitInfo) {
-			n++
-			if n%50 == 0 {
-				panic("persistent hook failure")
-			}
-		}
-		return o
-	}
-
-	var slept []time.Duration
-	cfg := BatchConfig{
-		Workers:       1,
-		Retries:       3,
-		RetryDelay:    100 * time.Millisecond,
-		RetryDelayMax: 250 * time.Millisecond,
-		retrySleep: func(_ context.Context, d time.Duration) error {
-			slept = append(slept, d)
-			return nil
-		},
-		retryRand: func() float64 { return 0 }, // jitter floor: exactly half of each delay
-	}
-	if _, err := RunBatchContext(context.Background(), []Options{alwaysPanics()}, cfg); !errors.Is(err, ErrPanic) {
-		t.Fatalf("err = %v, want ErrPanic", err)
-	}
-	// Retries happen after attempts 0, 1, 2; the raw delay doubles
-	// from RetryDelay and caps at RetryDelayMax, and the injected
-	// zero-rand pins the equal jitter to its lower bound (half).
-	want := []time.Duration{50 * time.Millisecond, 100 * time.Millisecond, 125 * time.Millisecond}
-	if len(slept) != len(want) {
-		t.Fatalf("slept %d times (%v), want %d", len(slept), slept, len(want))
-	}
-	for i := range want {
-		if slept[i] != want[i] {
-			t.Errorf("sleep %d = %v, want %v", i, slept[i], want[i])
-		}
-	}
-
-	// Zero RetryDelay preserves the historical immediate retry.
-	slept = nil
-	cfg.RetryDelay, cfg.RetryDelayMax = 0, 0
-	if _, err := RunBatchContext(context.Background(), []Options{alwaysPanics()}, cfg); !errors.Is(err, ErrPanic) {
-		t.Fatalf("err = %v, want ErrPanic", err)
-	}
-	for _, d := range slept {
-		if d != 0 {
-			t.Errorf("RetryDelay=0 slept %v, want 0", d)
-		}
-	}
-}
-
-// TestBatchBackoffCancelMidWait: a cancellation landing during a
-// backoff wait fails the job as canceled instead of retrying.
-func TestBatchBackoffCancelMidWait(t *testing.T) {
-	alwaysPanics := healthyOption(10_000)
-	n := 0
-	alwaysPanics.CommitHook = func(CommitInfo) {
-		n++
-		if n%50 == 0 {
-			panic("persistent hook failure")
-		}
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cfg := BatchConfig{
-		Workers:    1,
-		Retries:    5,
-		RetryDelay: time.Hour,
-		retrySleep: func(ctx context.Context, d time.Duration) error {
-			cancel() // the cancellation arrives mid-wait
-			return ctx.Err()
-		},
-	}
-	_, err := RunBatchContext(ctx, []Options{alwaysPanics}, cfg)
-	if !errors.Is(err, ErrCanceled) {
-		t.Fatalf("err = %v, want ErrCanceled (no further retries after cancel)", err)
 	}
 }

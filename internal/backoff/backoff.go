@@ -1,6 +1,6 @@
-// Package backoff is the retry-delay policy shared by every per-cell
-// retry path in the service stack (recyclesim.RunBatchContext and the
-// internal/fleet dispatcher, which is the job server's retry loop):
+// Package backoff is the retry-delay policy of the one compute-retry
+// loop, internal/fleet's Dispatcher.Compute (the job server's retries
+// and the fleet workers' reconnects both live in internal/fleet):
 // capped exponential growth with equal jitter, built so tests stay
 // reproducible — the jitter source is an explicit injectable function
 // (a fixed-seed SplitMix64 by default, never the global math/rand),

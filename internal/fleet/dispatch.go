@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"recyclesim"
 	"recyclesim/internal/backoff"
 	"recyclesim/internal/obs/trace"
 	"recyclesim/internal/store"
@@ -51,7 +50,8 @@ type Config struct {
 
 	// Retries is the number of extra attempts a cell whose *compute*
 	// failed gets (locally or on a worker) before the error is
-	// returned; cancellation and deadline errors are never retried.
+	// returned; an attempt that fails once the context is done is
+	// never retried.
 	Retries int
 	// RetryDelay/RetryDelayMax shape the capped exponential backoff
 	// (with equal jitter) between compute retries; zero RetryDelay
@@ -236,6 +236,10 @@ func NewDispatcher(cfg Config) *Dispatcher {
 		leases:  make(map[uint64]*lease),
 	}
 }
+
+// Retries returns the compute-retry budget: the most extra attempts
+// Compute gives one cell.
+func (d *Dispatcher) Retries() int { return d.cfg.Retries }
 
 // Counters returns a snapshot of the accounting.
 func (d *Dispatcher) Counters() Counters {
@@ -622,13 +626,13 @@ func (d *Dispatcher) StartReaper(ctx context.Context, interval time.Duration) {
 }
 
 // enqueue admits a cell to the fleet, granting it straight to a parked
-// Lease call when one is waiting.  ok is false when no workers are
+// Lease call when one is waiting.  It returns nil when no workers are
 // attached (the caller computes locally).
-func (d *Dispatcher) enqueue(spec Spec, key string, tc trace.Ctx) (*task, bool) {
+func (d *Dispatcher) enqueue(spec Spec, key string, tc trace.Ctx) *task {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if len(d.workers) == 0 {
-		return nil, false
+		return nil
 	}
 	d.taskSeq++
 	t := &task{seq: d.taskSeq, spec: spec, key: key, tc: tc, ch: make(chan roundResult, 1)}
@@ -636,7 +640,7 @@ func (d *Dispatcher) enqueue(spec Spec, key string, tc trace.Ctx) (*task, bool) 
 		d.queue = append(d.queue, t)
 		t.queued = true
 	}
-	return t, true
+	return t
 }
 
 // abandon detaches a task whose Compute gave up (context cancellation):
@@ -664,54 +668,50 @@ func (d *Dispatcher) abandon(t *task) {
 // Compute executes one cell through the fleet: dispatched to a worker
 // under a lease when any are attached, computed in-process otherwise.
 // Infrastructure failures (lease expiry, worker death/departure)
-// requeue the cell transparently up to MaxRequeues, then degrade to
-// local compute; compute failures retry with capped exponential
-// backoff + jitter up to Retries, skipping cancellation and deadline
-// errors.  tc is the cell's compute span; lease, requeue, backoff, and
-// attempt children land under it.
+// requeue the cell transparently up to MaxRequeues, then degrade it to
+// local compute for good; a refused enqueue (no workers attached right
+// now) computes locally only this once.  Each loop iteration is one
+// attempt — one remote round or one local compute — and a failed
+// attempt is retried with capped exponential backoff + jitter while
+// the context is live and fewer than Retries retries have run.  This
+// is the only place a failed compute is retried.  tc is the cell's
+// compute span; lease, requeue, backoff, and attempt children land
+// under it.
 func (d *Dispatcher) Compute(ctx context.Context, spec Spec, key string, tc trace.Ctx) (*store.Record, error) {
 	rnd := d.cfg.Rand
-	var attempt int
-	localOnly := false
+	attempt, local := 0, false
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if !localOnly {
-			if t, ok := d.enqueue(spec, key, tc); ok {
-				var r roundResult
-				select {
-				case r = <-t.ch:
-				case <-ctx.Done():
-					d.abandon(t)
-					return nil, ctx.Err()
-				}
-				switch r.kind {
-				case roundOK:
-					return r.rec, nil
-				case roundFallback:
-					localOnly = true
-					d.log.Info("cell degraded to local compute", "cell", spec.Name(), "reason", r.errMsg)
-					continue
-				case roundErr:
-					if attempt >= d.cfg.Retries {
-						return nil, errors.New(r.errMsg)
-					}
-					attempt++
-					if err := d.backoffWait(ctx, tc, attempt, &rnd); err != nil {
-						return nil, err
-					}
-					continue
-				}
+		var rec *store.Record
+		var err error
+		var t *task
+		if !local {
+			t = d.enqueue(spec, key, tc)
+		}
+		if t != nil {
+			var r roundResult
+			select {
+			case r = <-t.ch:
+			case <-ctx.Done():
+				d.abandon(t)
+				return nil, ctx.Err()
 			}
-			// enqueue refused: zero workers attached right now.
+			if r.kind == roundFallback {
+				local = true
+				d.log.Info("cell degraded to local compute", "cell", spec.Name(), "reason", r.errMsg)
+				continue
+			}
+			rec = r.rec
+			if r.kind == roundErr {
+				err = errors.New(r.errMsg)
+			}
+		} else {
+			rec, err = d.localAttempt(ctx, spec, tc, attempt)
 		}
-		rec, err := d.localAttempt(ctx, spec, tc, attempt)
-		if err == nil {
-			return rec, nil
-		}
-		if errors.Is(err, recyclesim.ErrCanceled) || errors.Is(err, recyclesim.ErrDeadline) || attempt >= d.cfg.Retries {
-			return nil, err
+		if err == nil || ctx.Err() != nil || attempt >= d.cfg.Retries {
+			return rec, err
 		}
 		attempt++
 		if err := d.backoffWait(ctx, tc, attempt, &rnd); err != nil {

@@ -44,9 +44,9 @@ type Spec = store.Cell
 // sweeps.  It alone holds the cycle-budget policy: detailed cells run
 // with MaxCycles at 40x the instruction budget (the library's own
 // default is 4x), sampled cells at Workers 1.  One call is one attempt
-// — retries, backoff, and fault attribution live in the callers — but
-// faults are already contained: a panic or livelock comes back as an
-// error, never takes the process down.
+// — retries and backoff live in Dispatcher.Compute — but faults are
+// already contained: a panic or livelock comes back as an error, never
+// takes the process down.
 func Execute(ctx context.Context, spec Spec) (*store.Record, error) {
 	return ExecuteCrashDir(ctx, spec, "")
 }

@@ -375,6 +375,171 @@ func TestLocalBackoffCancelReturnsCancellation(t *testing.T) {
 	}
 }
 
+// loopEnv is what one TestComputeAttemptLoop case drives: the
+// dispatcher, the compute's cancel, and the IDs of workers a local
+// attempt attached mid-compute.
+type loopEnv struct {
+	d      *Dispatcher
+	cancel context.CancelFunc
+	late   chan string
+}
+
+// attach registers a worker mid-compute and hands its ID to the drive
+// script.
+func (e *loopEnv) attach() string {
+	id := e.d.RegisterWorker("late", 1).Worker
+	e.late <- id
+	return id
+}
+
+// loopCounters is the slice of Counters the attempt loop moves.
+type loopCounters struct {
+	Leases, RemoteErrors, RemoteComputes, LocalComputes, Fallbacks, Retries uint64
+}
+
+// TestComputeAttemptLoop pins Compute's single attempt loop with
+// counters: each iteration is one remote round or one local attempt, a
+// fleet fallback keeps the cell local, a refused enqueue does not, and
+// an attempt that fails after cancellation is not retried.  Retries is
+// 1 throughout.
+func TestComputeAttemptLoop(t *testing.T) {
+	errFail := errors.New("injected compute failure")
+	cases := []struct {
+		name   string
+		worker bool // a worker is attached before Compute starts
+		// local decides the n-th (1-based) local attempt; drive plays
+		// the workers on the test goroutine while Compute runs.
+		local   func(e *loopEnv, n int) error
+		drive   func(t *testing.T, e *loopEnv, worker string)
+		wantErr bool
+		want    loopCounters
+	}{
+		{
+			name:   "remote error retries on the fleet",
+			worker: true,
+			drive: func(t *testing.T, e *loopEnv, w string) {
+				g := waitLease(t, e.d, w)
+				e.d.Complete(w, g.Lease, nil, "transient blowup", false)
+				g = waitLease(t, e.d, w)
+				e.d.Complete(w, g.Lease, testRecord(), "", false)
+			},
+			want: loopCounters{Leases: 2, RemoteErrors: 1, RemoteComputes: 1, Retries: 1},
+		},
+		{
+			// The retry stays local even though a worker attached
+			// during the failed attempt: no second lease.
+			name:   "local error after a fallback retries locally",
+			worker: true,
+			local: func(e *loopEnv, n int) error {
+				if n == 1 {
+					e.attach()
+					return errFail
+				}
+				return nil
+			},
+			drive: func(t *testing.T, e *loopEnv, w string) {
+				waitLease(t, e.d, w)
+				if err := e.d.Deregister(w); err != nil {
+					t.Fatal(err)
+				}
+			},
+			want: loopCounters{Leases: 1, LocalComputes: 2, Fallbacks: 1, Retries: 1},
+		},
+		{
+			name: "refused enqueue retries on the fleet",
+			local: func(e *loopEnv, n int) error {
+				e.attach()
+				return errFail
+			},
+			drive: func(t *testing.T, e *loopEnv, _ string) {
+				w := <-e.late
+				g := waitLease(t, e.d, w)
+				e.d.Complete(w, g.Lease, testRecord(), "", false)
+			},
+			want: loopCounters{Leases: 1, RemoteComputes: 1, LocalComputes: 1, Retries: 1},
+		},
+		{
+			name: "a failure after cancellation is not retried",
+			local: func(e *loopEnv, n int) error {
+				e.cancel()
+				return errFail
+			},
+			wantErr: true,
+			want:    loopCounters{LocalComputes: 1},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			e := &loopEnv{cancel: cancel, late: make(chan string, 4)}
+			var n int
+			e.d = NewDispatcher(Config{
+				LeaseTTL: 10 * time.Second,
+				Retries:  1,
+				Sleep:    instant,
+				Local: func(context.Context, Spec) (*store.Record, error) {
+					n++
+					if tc.local == nil {
+						t.Error("unexpected local compute")
+						return nil, errFail
+					}
+					if err := tc.local(e, n); err != nil {
+						return nil, err
+					}
+					return testRecord(), nil
+				},
+			})
+			var w string
+			if tc.worker {
+				w = e.d.RegisterWorker("w", 1).Worker
+			}
+			done := make(chan error, 1)
+			go func() {
+				_, err := e.d.Compute(ctx, testSpec("m"), "key", trace.Ctx{})
+				done <- err
+			}()
+			if tc.drive != nil {
+				tc.drive(t, e, w)
+			}
+			if err := <-done; (err != nil) != tc.wantErr {
+				t.Fatalf("Compute err = %v, want error: %v", err, tc.wantErr)
+			}
+			c := e.d.Counters()
+			got := loopCounters{c.LeasesGranted, c.RemoteErrors, c.RemoteComputes, c.LocalComputes, c.LocalFallbacks, c.Retries}
+			if got != tc.want {
+				t.Errorf("counters = %+v, want %+v", got, tc.want)
+			}
+		})
+	}
+}
+
+// TestCanceledSampledCellNotRetried: a sampled cell whose context is
+// canceled mid-compute fails once, as a cancellation, and spends no
+// retry of the budget.
+func TestCanceledSampledCellNotRetried(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	d := NewDispatcher(Config{
+		Retries: 2,
+		Sleep:   instant,
+		Local: func(ctx context.Context, spec Spec) (*store.Record, error) {
+			cancel()
+			return Execute(ctx, spec)
+		},
+	})
+	spec := testSpec("m")
+	spec.Workloads = []string{"gcc"}
+	spec.Insts = 200_000
+	spec.Sampling = &store.Sampling{}
+	if _, err := d.Compute(ctx, spec, "key", trace.Ctx{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Compute err = %v, want context.Canceled", err)
+	}
+	if c := d.Counters(); c.LocalComputes != 1 || c.Retries != 0 {
+		t.Fatalf("counters = %+v, want 1 local compute and 0 retries", c)
+	}
+}
+
 func TestRemoteErrorExhaustsRetries(t *testing.T) {
 	d := newTestDispatcher(nil, nil) // Retries = 0
 	info := d.RegisterWorker("w", 1)

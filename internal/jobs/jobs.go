@@ -52,6 +52,7 @@ import (
 
 	"recyclesim/internal/fleet"
 	"recyclesim/internal/obs"
+	"recyclesim/internal/obs/server"
 	"recyclesim/internal/obs/trace"
 	"recyclesim/internal/sample"
 	"recyclesim/internal/stats"
@@ -111,24 +112,19 @@ type JobStatus struct {
 type Config struct {
 	// Workers bounds per-job cell parallelism (<= 0 selects GOMAXPROCS).
 	Workers int
-	// Retries is the number of extra attempts a failed cell gets before
-	// its error is recorded (cancellation is never retried).  It sizes
-	// the trace buffer, and configures the dispatcher built when Fleet
-	// is nil.
-	Retries int
-	// RetryDelay and RetryDelayMax shape the capped exponential
-	// backoff (with equal jitter) between a cell's retry attempts;
-	// zero RetryDelay keeps retries immediate, zero RetryDelayMax
-	// defaults to 64x the base.  They configure the dispatcher built
-	// when Fleet is nil.
+	// Retries, RetryDelay and RetryDelayMax configure the zero-worker
+	// dispatcher built when Fleet is nil (see fleet.Config); they are
+	// ignored otherwise.  The dispatcher alone decides retries.
+	Retries       int
 	RetryDelay    time.Duration
 	RetryDelayMax time.Duration
 	// Fleet is the dispatcher every cell compute goes through: workers
 	// compute leased cells, and the dispatcher falls back to
 	// in-process execution (fleet.Execute) when none are attached.
-	// nil selects a zero-worker dispatcher built from Retries,
-	// RetryDelay and RetryDelayMax.  Store-level dedupe is unchanged —
-	// the dispatcher sits inside the single-flight compute callback.
+	// Its retry budget also sizes each job's trace buffer.  nil
+	// selects a zero-worker dispatcher built from the retry fields
+	// above.  Store-level dedupe is unchanged — the dispatcher sits
+	// inside the single-flight compute callback.
 	Fleet *fleet.Dispatcher
 	// Auth, when non-nil, guards the job API with bearer-token
 	// authentication, per-client in-flight-cell quotas, and request
@@ -157,7 +153,7 @@ type Server struct {
 	seq  int
 	jobs map[string]*job
 
-	agg aggregate
+	agg *server.Aggregate // every detailed cell computed or served
 	lat latencies
 
 	jobsSubmitted atomic.Uint64
@@ -230,31 +226,6 @@ func (l *latencies) snapshot() ([]string, map[string]obs.Hist) {
 	return names, out
 }
 
-// aggregate accumulates every detailed cell the server computes or
-// serves, building the immutable snapshots /metrics exposes.
-type aggregate struct {
-	mu    sync.Mutex
-	stats stats.Sim
-	tel   obs.Metrics
-	cells int
-}
-
-func (a *aggregate) add(s *stats.Sim, m *obs.Metrics) *obs.Snapshot {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.stats.Add(s)
-	a.tel.Add(m)
-	a.cells++
-	st := a.stats
-	st.PerProgram = append([]uint64(nil), a.stats.PerProgram...)
-	tel := a.tel
-	return &obs.Snapshot{
-		Name:    fmt.Sprintf("recycled running aggregate (%d cells)", a.cells),
-		Stats:   &st,
-		Metrics: &tel,
-	}
-}
-
 // NewServer builds a job server over st.  ctx bounds every simulation
 // the server runs: canceling it (shutdown) stops in-flight cells at
 // their next poll and fails their jobs' remaining cells as canceled.
@@ -274,7 +245,10 @@ func NewServer(ctx context.Context, st *store.Store, cfg Config) *Server {
 			Log:           cfg.Log,
 		})
 	}
-	s := &Server{ctx: ctx, store: st, cfg: cfg, log: log, jobs: make(map[string]*job)}
+	s := &Server{
+		ctx: ctx, store: st, cfg: cfg, log: log, jobs: make(map[string]*job),
+		agg: server.NewAggregate("recycled"),
+	}
 	if cfg.Auth != nil {
 		s.gate = newGate(*cfg.Auth)
 	}
@@ -353,9 +327,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 func (s *Server) newJob(cells []CellSpec, tid trace.ID) *job {
 	j := &job{cells: cells, state: "running"}
 	j.cond = sync.NewCond(&j.mu)
-	// Worst case per cell adds a backoff span per retry, and the fleet
-	// path adds lease/requeue spans per requeue round.
-	j.trace = trace.New(tid, 2+len(cells)*(12+2*s.cfg.Retries))
+	// Worst case per cell adds an attempt and a backoff span per retry
+	// of the dispatcher's budget, and the fleet path adds lease/requeue
+	// spans per requeue round.
+	j.trace = trace.New(tid, 2+len(cells)*(12+2*s.cfg.Fleet.Retries()))
 	j.trace.SetOnEnd(s.lat.observe)
 	s.mu.Lock()
 	s.seq++
@@ -564,7 +539,7 @@ func (s *Server) runJob(j *job) {
 			s.cfg.Progress.FinishCell(insts)
 		}
 		if s.cfg.Publish != nil && res.Error == "" && res.Stats != nil {
-			s.cfg.Publish(s.agg.add(res.Stats, res.Metrics))
+			s.cfg.Publish(s.agg.Add(res.Stats, res.Metrics))
 		}
 		cc := j.cellCtx[i]
 		if res.Cached {

@@ -3,6 +3,7 @@ package jobs
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"runtime"
@@ -11,7 +12,9 @@ import (
 	"time"
 
 	"recyclesim/internal/config"
+	"recyclesim/internal/fleet"
 	"recyclesim/internal/obs/trace"
+	"recyclesim/internal/store"
 )
 
 // chromeTraceDoc mirrors the /jobs/{id}/trace export for validation.
@@ -116,6 +119,67 @@ func TestJobTraceEndpoint(t *testing.T) {
 	}
 	if !strings.Contains(s2, `"hit":1`) {
 		t.Error("all-hit job trace has no hit-attributed lookup")
+	}
+}
+
+// TestTraceSizedFromDispatcherRetries: a job's span buffer is sized
+// from the retry budget of the dispatcher that actually retries, so a
+// job whose every attempt fails keeps every span — four attempts and
+// three backoffs per cell under a budget of three retries — even
+// though the server's own (nil-Fleet default) Retries is zero.
+func TestTraceSizedFromDispatcherRetries(t *testing.T) {
+	disp := fleet.NewDispatcher(fleet.Config{
+		Retries:    3,
+		RetryDelay: time.Millisecond,
+		Sleep:      func(context.Context, time.Duration) error { return nil },
+		Local: func(context.Context, fleet.Spec) (*store.Record, error) {
+			return nil, errors.New("injected compute failure")
+		},
+	})
+	srv, client := newTestService(t, t.TempDir(), Config{Workers: 2, Fleet: disp})
+	var cells []CellSpec
+	for _, name := range []string{"compress", "li", "go", "gcc"} {
+		cells = append(cells, detailedCell(config.SMT, []string{name}, 1_000))
+	}
+	_, st := collect(t, client, JobRequest{Cells: cells})
+	if st.Failed != len(cells) {
+		t.Fatalf("%d of %d cells failed, want all", st.Failed, len(cells))
+	}
+	tr := srv.lookup(st.ID).trace
+	if n := tr.Drops(); n != 0 {
+		t.Errorf("span buffer dropped %d spans", n)
+	}
+	spans := tr.Spans()
+	byID := make(map[trace.SpanID]trace.Span, len(spans))
+	for _, sp := range spans {
+		byID[sp.ID] = sp
+	}
+	// Count each cell span's attempt and backoff descendants.
+	type retrySpans struct{ attempts, backoffs int }
+	perCell := map[trace.SpanID]retrySpans{}
+	for _, sp := range spans {
+		if sp.Name != "attempt" && sp.Name != "backoff" {
+			continue
+		}
+		p := byID[sp.Parent]
+		for p.Name != "cell" && p.ID != p.Parent {
+			p = byID[p.Parent]
+		}
+		n := perCell[p.ID]
+		if sp.Name == "attempt" {
+			n.attempts++
+		} else {
+			n.backoffs++
+		}
+		perCell[p.ID] = n
+	}
+	if len(perCell) != len(cells) {
+		t.Fatalf("attempt spans under %d cells, want %d", len(perCell), len(cells))
+	}
+	for id, n := range perCell {
+		if n != (retrySpans{attempts: 4, backoffs: 3}) {
+			t.Errorf("cell span %d has %d attempt and %d backoff spans, want 4 and 3", id, n.attempts, n.backoffs)
+		}
 	}
 }
 

@@ -37,9 +37,7 @@ import (
 	"fmt"
 	"runtime/debug"
 	"sort"
-	"time"
 
-	"recyclesim/internal/backoff"
 	"recyclesim/internal/config"
 	"recyclesim/internal/core"
 	"recyclesim/internal/obs"
@@ -235,19 +233,11 @@ type Options struct {
 	SnapshotHook  func(*Snapshot)
 	SnapshotEvery uint64
 
-	// Context, when non-nil, is polled for cancellation every
-	// PollEveryCycles simulated cycles; when it reports done, the run
-	// stops at that cycle boundary and returns the partial Result plus
-	// a *SimError wrapping ErrCanceled or ErrDeadline.  RunContext sets
-	// this field; set it directly only when threading Options through
-	// code that cannot change call signatures.
-	Context context.Context
-
-	// PollEveryCycles is the cancellation-poll cadence in simulated
-	// cycles (default 4096).  The cadence is counted in cycles, not
-	// wall time, so enabling cancellation never perturbs simulation
-	// results — an uncancelled run is byte-identical with or without a
-	// context attached.
+	// PollEveryCycles is RunContext's cancellation-poll cadence in
+	// simulated cycles (default 4096).  The cadence is counted in
+	// cycles, not wall time, so enabling cancellation never perturbs
+	// simulation results — an uncancelled run is byte-identical with or
+	// without a context attached.
 	PollEveryCycles uint64
 
 	// Sampling, when non-nil, supplies the schedule for RunSampled;
@@ -277,11 +267,7 @@ type Options struct {
 // still accumulated; after a contained panic the Result is nil and
 // telemetry is discarded, because mid-cycle state cannot be trusted.
 func Run(o Options) (*Result, error) {
-	ctx := o.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return RunContext(ctx, o)
+	return RunContext(context.Background(), o)
 }
 
 // RunContext is Run with cooperative cancellation: the simulation
@@ -341,27 +327,8 @@ func RunContext(ctx context.Context, o Options) (*Result, error) {
 	}
 	c.SetRing(o.FlightRecorder)
 	c.SetPipeTrace(o.PipeTrace)
-	// Poll the RunContext argument and, when distinct, the per-option
-	// context too (a batch-level cancel and a per-job cancel must both
-	// reach the run).
-	var polls []func() error
 	if ctx != nil && ctx.Done() != nil {
-		polls = append(polls, ctx.Err)
-	}
-	if o.Context != nil && o.Context != ctx && o.Context.Done() != nil {
-		polls = append(polls, o.Context.Err)
-	}
-	switch len(polls) {
-	case 1:
-		c.SetPoll(o.PollEveryCycles, polls[0])
-	case 2:
-		first, second := polls[0], polls[1]
-		c.SetPoll(o.PollEveryCycles, func() error {
-			if err := first(); err != nil {
-				return err
-			}
-			return second()
-		})
+		c.SetPoll(o.PollEveryCycles, ctx.Err)
 	}
 	if o.hookCore != nil {
 		o.hookCore(c)
@@ -430,28 +397,6 @@ func coreSnapshot(c *core.Core) *Snapshot {
 type BatchConfig struct {
 	// Workers sizes the pool (<= 0 selects GOMAXPROCS).
 	Workers int
-	// Retries is the number of extra attempts given to a failed job
-	// before its error is recorded.  Cancellation and deadline
-	// failures are never retried — the whole batch is going down.
-	// Deterministic faults (a livelock, a simulator panic) will fail
-	// identically on retry; the knob exists for user hooks with
-	// external effects.
-	Retries int
-	// RetryDelay, when positive, waits before each retry: the delay
-	// doubles per attempt (with equal jitter, so concurrent retriers
-	// spread out) and is capped at RetryDelayMax (default
-	// 64*RetryDelay).  Zero keeps the historical immediate retry.
-	// The wait is context-aware: cancellation during a backoff wait
-	// fails the job as canceled instead of sleeping it out.
-	RetryDelay    time.Duration
-	RetryDelayMax time.Duration
-
-	// retrySleep and retryRand are the deterministic injection points
-	// the backoff tests use; nil selects backoff.Sleep and a
-	// fixed-seed backoff.Rand.  (Fields are unexported: external
-	// callers get the production behavior.)
-	retrySleep func(context.Context, time.Duration) error
-	retryRand  func() float64
 }
 
 // RunBatch executes the given simulations concurrently on a worker
@@ -474,50 +419,30 @@ type BatchConfig struct {
 // holds the partial statistics when it stopped cleanly mid-run
 // (cancellation, livelock) — pair it with the error list before
 // trusting it.
+//
+// A batch runs each job once.  Simulations are deterministic, so a
+// failed job fails identically on a rerun; retry policy belongs to
+// the service layer (internal/fleet), not the library.
 func RunBatch(opts []Options, workers int) ([]*Result, error) {
 	return RunBatchContext(context.Background(), opts, BatchConfig{Workers: workers})
 }
 
-// RunBatchContext is RunBatch with cooperative cancellation and
-// per-job retry.  Canceling ctx stops every in-flight simulation at
-// its next poll (each reporting ErrCanceled with partial results) and
-// prevents queued jobs from starting.
+// RunBatchContext is RunBatch with cooperative cancellation.
+// Canceling ctx stops every in-flight simulation at its next poll
+// (each reporting ErrCanceled with partial results) and prevents
+// queued jobs from starting.
 func RunBatchContext(ctx context.Context, opts []Options, cfg BatchConfig) ([]*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	sleep := cfg.retrySleep
-	if sleep == nil {
-		sleep = backoff.Sleep
-	}
 	results := make([]*Result, len(opts))
 	errs := make([]error, len(opts))
 	sweep.Run(len(opts), cfg.Workers, func(i int) {
-		// Each job gets its own jitter stream (the shared injection
-		// point is honored when set): seeded by index so reruns of the
-		// same batch draw the same delays.
-		rnd := cfg.retryRand
-		if rnd == nil && cfg.RetryDelay > 0 {
-			rnd = backoff.Rand(uint64(i) + 1)
+		if cerr := ctx.Err(); cerr != nil {
+			errs[i] = &SimError{Kind: ctxKind(cerr), Err: cerr, Fingerprint: fingerprint(opts[i])}
+			return
 		}
-		for attempt := 0; ; attempt++ {
-			if cerr := ctx.Err(); cerr != nil {
-				kind := ErrCanceled
-				if errors.Is(cerr, context.DeadlineExceeded) {
-					kind = ErrDeadline
-				}
-				results[i], errs[i] = nil, &SimError{Kind: kind, Err: cerr, Fingerprint: fingerprint(opts[i])}
-				return
-			}
-			results[i], errs[i] = RunContext(ctx, opts[i])
-			if errs[i] == nil || attempt >= cfg.Retries ||
-				errors.Is(errs[i], ErrCanceled) || errors.Is(errs[i], ErrDeadline) {
-				return
-			}
-			// Back off before the retry; a cancellation that lands
-			// mid-wait is caught by the ctx check at the top.
-			_ = sleep(ctx, backoff.Delay(cfg.RetryDelay, cfg.RetryDelayMax, attempt, rnd))
-		}
+		results[i], errs[i] = RunContext(ctx, opts[i])
 	})
 	var joined []error
 	for i, err := range errs {

@@ -46,23 +46,21 @@ type SampledResult = sample.Result
 type SampledInterval = sample.Interval
 
 // RunSampled executes one sampled simulation and returns the IPC
-// estimate.  It honours Options.Machine, Features, Workloads/Programs,
-// MaxInsts, and Context; sampled mode simulates exactly one program
-// (interval seeding restores a single architectural state).  The
+// estimate.  It honours Options.Machine, Features, Workloads/Programs
+// and MaxInsts; sampled mode simulates exactly one program (interval
+// seeding restores a single architectural state).  The
 // Options.Sampling field supplies the schedule; a nil Sampling uses
 // the defaults.
 func RunSampled(o Options) (*SampledResult, error) {
-	ctx := o.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return RunSampledContext(ctx, o)
+	return RunSampledContext(context.Background(), o)
 }
 
 // RunSampledContext is RunSampled with cooperative cancellation: the
 // checkpoint pass polls ctx between periods and each detailed interval
-// polls on the core's cycle-counted cadence.  An uncancelled sampled
-// run is byte-identical with or without a context attached.
+// polls on the core's cycle-counted cadence.  A run stopped by ctx
+// fails with a *SimError wrapping ErrCanceled or ErrDeadline, as Run
+// does.  An uncancelled sampled run is byte-identical with or without
+// a context attached.
 func RunSampledContext(ctx context.Context, o Options) (*SampledResult, error) {
 	progs := o.Programs
 	if len(progs) == 0 {
@@ -93,5 +91,11 @@ func RunSampledContext(ctx context.Context, o Options) (*SampledResult, error) {
 	if ctx != nil && ctx.Done() != nil {
 		cfg.Poll = ctx.Err
 	}
-	return sample.Run(o.Machine, o.Features, progs[0], o.MaxInsts, cfg)
+	res, err := sample.Run(o.Machine, o.Features, progs[0], o.MaxInsts, cfg)
+	if err != nil && ctx != nil {
+		if cerr := ctx.Err(); cerr != nil {
+			return nil, &SimError{Kind: ctxKind(cerr), Err: err, Fingerprint: fingerprint(o)}
+		}
+	}
+	return res, err
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestRunSampledBasic: the facade produces a usable estimate with the
@@ -80,5 +81,39 @@ func TestRunSampledContextCancel(t *testing.T) {
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestRunSampledCancelIsTyped: a sampled run stopped by its context
+// reports the same typed *SimError as a detailed one — ErrCanceled or
+// ErrDeadline — still wrapping the context's own error.
+func TestRunSampledCancelIsTyped(t *testing.T) {
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	expired, cancelExpired := context.WithDeadline(context.Background(), time.Unix(0, 0))
+	defer cancelExpired()
+	for _, tc := range []struct {
+		name      string
+		ctx       context.Context
+		kind, ctr error
+	}{
+		{"canceled", canceled, ErrCanceled, context.Canceled},
+		{"deadline", expired, ErrDeadline, context.DeadlineExceeded},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := RunSampledContext(tc.ctx, Options{
+				Machine:   MachineByName("big.2.16"),
+				Features:  SMT,
+				Workloads: []string{"gcc"},
+				MaxInsts:  200_000,
+			})
+			if !errors.Is(err, tc.kind) || !errors.Is(err, tc.ctr) {
+				t.Fatalf("err = %v, want %v wrapping %v", err, tc.kind, tc.ctr)
+			}
+			var se *SimError
+			if !errors.As(err, &se) || se.Fingerprint == "" {
+				t.Errorf("err = %#v, want a *SimError with a fingerprint", err)
+			}
+		})
 	}
 }
