@@ -9,6 +9,9 @@
 #   make perfbench   vet and test the separate perfbench module, which
 #                    ./... never compiles but which imports the library,
 #                    jobs and fleet APIs
+#   make stress      the fleet packages ten times over under the race
+#                    detector: catches lease witnesses that depend on
+#                    host timing (not part of check; CI runs it)
 #   make fuzz        10s coverage-guided smoke of each fuzz target
 #                    (assembler, config validation, store record and
 #                    checkpoint decoding), seeded from the checked-in
@@ -26,7 +29,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build lint test perfbench fuzz smoke invariant bench bench-smoke
+.PHONY: check fmt vet build lint test perfbench stress fuzz smoke invariant bench bench-smoke
 
 check: fmt vet build lint test perfbench fuzz smoke
 
@@ -50,6 +53,9 @@ test:
 
 perfbench:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+stress:
+	$(GO) test -race -count=10 ./internal/fleet/...
 
 # One -fuzz pattern per invocation: the Go fuzzer only accepts a single
 # matching target when fuzzing (not just running seeds).

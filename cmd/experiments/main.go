@@ -24,7 +24,6 @@
 package main
 
 import (
-	"cmp"
 	"context"
 	"flag"
 	"fmt"
@@ -599,11 +598,11 @@ var sampledPresets = []string{"SMT", "TME", "REC", "REC/RS", "REC/RS/RU"}
 // per-benchmark estimated IPC with its Student-t confidence interval,
 // one program on the baseline big.2.16 machine.
 func figure3Sampled(w io.Writer, r *runner, insts uint64) {
-	s := r.sampling
+	s := r.sampling.Normalized()
 	fmt.Fprintf(w, "Figure 3 (sampled): per-benchmark IPC with %.0f%% CI, 1 program, big.2.16\n",
-		100*cmp.Or(s.Confidence, 0.95))
+		100*s.Confidence)
 	fmt.Fprintf(w, "schedule: period=%d interval=%d warmup=%d\n",
-		cmp.Or(s.Period, 20_000), cmp.Or(s.IntervalLen, 1_000), cmp.Or(s.WarmupLen, 1_000))
+		s.Period, s.IntervalLen, s.WarmupLen)
 	fmt.Fprintf(w, "%-10s", "program")
 	for _, p := range sampledPresets {
 		fmt.Fprintf(w, " %22s", p)

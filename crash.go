@@ -37,7 +37,10 @@ func writeCrashBundle(dir string, o Options, se *SimError, res *Result) (string,
 	if se.Dump != "" {
 		fmt.Fprintf(&b, "%s\n", se.Dump)
 	}
-	if se.FlightDump != "" {
+	// A livelock's Dump and an invariant panic's message already end
+	// with the flight recorder's tail, rendered by the same Ring.Dump;
+	// write the tail only when nothing above carried it.
+	if se.FlightDump != "" && !strings.Contains(b.String(), se.FlightDump) {
 		fmt.Fprintf(&b, "%s\n", se.FlightDump)
 	}
 	if se.PipeTail != "" {

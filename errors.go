@@ -57,7 +57,8 @@ type SimError struct {
 	// panics carry whatever the panic message included).
 	Dump string
 	// FlightDump is the flight recorder's retained event tail, when a
-	// recorder was attached to the run.
+	// recorder was attached to the run (a livelock's Dump ends with the
+	// same text).
 	FlightDump string
 	// PipeTail is the tail of the pipetrace record stream, when a
 	// tracer was attached.
@@ -82,7 +83,10 @@ func (e *SimError) Error() string {
 		fmt.Fprintf(&b, ": %s", e.Detail)
 	}
 	if e.PanicValue != nil {
-		fmt.Fprintf(&b, ": panic: %v", e.PanicValue)
+		// An invariant panic's value carries the whole machine dump;
+		// its first line is the summary (the rest is in the bundle).
+		msg, _, _ := strings.Cut(fmt.Sprint(e.PanicValue), "\n")
+		fmt.Fprintf(&b, ": panic: %s", msg)
 	}
 	if e.BundlePath != "" {
 		fmt.Fprintf(&b, " (crash bundle: %s)", e.BundlePath)
@@ -102,8 +106,9 @@ func (e *SimError) Unwrap() []error {
 }
 
 // fingerprint renders the configuration identity used in error
-// messages, crash bundle names, and sweep checkpoints.  It depends
-// only on the option fields that determine the simulation's outcome.
+// messages and crash bundle names (stores key cells by store.Cell.Key
+// instead).  It depends only on the option fields that determine the
+// simulation's outcome.
 func fingerprint(o Options) string {
 	names := strings.Join(o.Workloads, "+")
 	if len(o.Programs) > 0 {
@@ -116,7 +121,7 @@ func fingerprint(o Options) string {
 	fp := fmt.Sprintf("%s/%s/%s/max%d", o.Machine.Name, feat, names, o.MaxInsts)
 	if s := o.Sampling; s != nil {
 		// Sampled and full runs of the same cell are different
-		// simulations; memoization and crash bundles must not conflate
+		// simulations; error reports and crash bundles must not conflate
 		// them.  The confidence level joins the schedule because it
 		// changes the reported bounds, not just the label.
 		fp += fmt.Sprintf("/samp%d-%d-%d-c%g", s.Period, s.IntervalLen, s.WarmupLen, s.Confidence)
@@ -132,7 +137,7 @@ func simError(c *core.Core, o Options, runErr error, panicVal any, stack []byte)
 		Cycle:       c.CycleCount(),
 		Committed:   c.Stats.Committed,
 		Fingerprint: fingerprint(o),
-		FlightDump:  flightDump(c),
+		FlightDump:  c.FlightRing().Dump(),
 		PipeTail:    pipeTail(o.PipeTrace, 16),
 	}
 	switch {
@@ -167,20 +172,6 @@ func ctxKind(err error) error {
 func isLivelock(err error) bool {
 	var ll *core.LivelockError
 	return errors.As(err, &ll)
-}
-
-// flightDump renders the flight recorder attached to the core (nil-safe).
-func flightDump(c *core.Core) string {
-	r := c.FlightRing()
-	if r == nil || r.Len() == 0 {
-		return ""
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "flight recorder (last %d of %d events):\n", r.Len(), r.Total())
-	for _, e := range r.Events() {
-		fmt.Fprintf(&b, "  %s\n", e.String())
-	}
-	return b.String()
 }
 
 // pipeTail renders the last n pipetrace records (nil-safe).

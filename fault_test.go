@@ -222,6 +222,47 @@ func TestLivelockSurfacesThroughFacade(t *testing.T) {
 	}
 }
 
+// TestCrashBundleFlightRecorderOnce: a failure whose machine dump
+// already carries the flight recorder's tail (a livelock, an
+// invariant panic) writes that tail into its crash bundle exactly
+// once.
+func TestCrashBundleFlightRecorderOnce(t *testing.T) {
+	cases := []struct {
+		name string
+		kind error
+		set  func(o *Options)
+	}{
+		{"livelock", ErrLivelock, func(o *Options) { o.Features.WatchdogCycles = 1 }},
+		{"invariant", ErrPanic, func(o *Options) {
+			o.Features.InvariantEvery = 64
+			o.hookCore = func(c *core.Core) { c.Obs.SlotCycles[obs.CauseIdle] += 999 }
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			o := healthyOption(20_000)
+			o.FlightRecorder = NewFlightRecorder(8)
+			o.CrashDir = t.TempDir()
+			tc.set(&o)
+			_, err := Run(o)
+			var se *SimError
+			if !errors.Is(err, tc.kind) || !errors.As(err, &se) {
+				t.Fatalf("err = %v, want a *SimError of kind %v", err, tc.kind)
+			}
+			if se.BundlePath == "" {
+				t.Fatal("no crash bundle written")
+			}
+			bundle, rerr := os.ReadFile(se.BundlePath)
+			if rerr != nil {
+				t.Fatal(rerr)
+			}
+			if n := strings.Count(string(bundle), "flight recorder (last"); n != 1 {
+				t.Errorf("crash bundle has %d flight recorder sections, want 1:\n%s", n, bundle)
+			}
+		})
+	}
+}
+
 // TestCancelReturnsPartialResult: canceling mid-run stops at the next
 // poll with the statistics so far and both the package sentinel and
 // the stdlib context error matchable.

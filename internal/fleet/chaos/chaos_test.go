@@ -214,7 +214,12 @@ func TestStalledComputeRequeuedAndStaleDropped(t *testing.T) {
 		case <-deadline:
 			t.Fatal("sweep never completed around the stalled worker")
 		case <-time.After(50 * time.Millisecond):
-			h.Reap(11 * time.Second)
+			// Reap only until the stalled lease has been requeued: a
+			// later 11s jump could expire b's own lease whenever b's
+			// compute outlasts one 50ms tick, making b compute twice.
+			if h.Dispatcher.Counters().Requeues == 0 {
+				h.Reap(11 * time.Second)
+			}
 		}
 	}
 	assertStats(t, res, want, "stall-requeued sweep")

@@ -7,7 +7,6 @@ import (
 	"io"
 	"log/slog"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"recyclesim/internal/backoff"
@@ -109,13 +108,11 @@ type roundResult struct {
 // being delivered.  All fields are guarded by the dispatcher mutex
 // except ch, which is buffered and written exactly once per round.
 type task struct {
-	seq      uint64
 	spec     Spec
 	key      string
 	tc       trace.Ctx
 	requeues int
 
-	queued    bool
 	lease     *lease
 	abandoned bool
 	ch        chan roundResult
@@ -131,7 +128,8 @@ type lease struct {
 	span     trace.Ctx
 }
 
-// worker is one registered remote worker process.
+// worker is one registered remote worker process.  Its leases map is
+// the only index of outstanding leases.
 type worker struct {
 	id       string
 	name     string
@@ -139,20 +137,6 @@ type worker struct {
 	joined   time.Time
 	lastSeen time.Time
 	leases   map[uint64]*lease
-}
-
-// waiter is one long-polling Lease call parked until work arrives.
-type waiter struct {
-	workerID string
-	ch       chan *Grant // buffered 1
-}
-
-// Grant is the reply to a successful Lease: one cell under one lease.
-type Grant struct {
-	Lease uint64        `json:"lease"`
-	Key   string        `json:"key"`
-	Spec  Spec          `json:"spec"`
-	TTL   time.Duration `json:"-"`
 }
 
 // WorkerStatus is one row of the /fleet/workers listing.
@@ -165,41 +149,24 @@ type WorkerStatus struct {
 	IdleSec  int64  `json:"idle_sec"`
 }
 
-// RegisterInfo is the reply to a worker registration.
-type RegisterInfo struct {
-	Worker         string        `json:"worker"`
-	LeaseTTL       time.Duration `json:"-"`
-	HeartbeatEvery time.Duration `json:"-"`
-}
-
-// Dispatcher owns the fleet: registered workers, the queue of
-// unleased cells, and every outstanding lease.  All methods are safe
-// for concurrent use.
+// Dispatcher owns the fleet: registered workers (each holding its
+// outstanding leases) and the queue of unleased cells.  All methods
+// are safe for concurrent use.
 type Dispatcher struct {
 	cfg Config
 	log *slog.Logger
 
-	mu        sync.Mutex
-	workers   map[string]*worker
-	leases    map[uint64]*lease
-	queue     []*task
-	waiters   []*waiter
+	mu      sync.Mutex
+	workers map[string]*worker
+	queue   []*task
+	// ready is closed, and replaced, whenever a task joins the queue:
+	// it wakes every parked Lease call to race for the queue head.
+	ready     chan struct{}
 	workerSeq uint64
-	taskSeq   uint64
 	leaseSeq  uint64
-
-	registers      atomic.Uint64
-	departs        atomic.Uint64
-	workersLost    atomic.Uint64
-	leasesGranted  atomic.Uint64
-	leasesExpired  atomic.Uint64
-	requeues       atomic.Uint64
-	staleResults   atomic.Uint64
-	remoteComputes atomic.Uint64
-	remoteErrors   atomic.Uint64
-	localComputes  atomic.Uint64
-	localFallbacks atomic.Uint64
-	retries        atomic.Uint64
+	// counters is the accounting; Workers and QueueDepth are filled in
+	// by Counters.
+	counters Counters
 }
 
 // NewDispatcher builds a dispatcher; zero cfg fields get defaults.
@@ -233,7 +200,7 @@ func NewDispatcher(cfg Config) *Dispatcher {
 		cfg:     cfg,
 		log:     log,
 		workers: make(map[string]*worker),
-		leases:  make(map[uint64]*lease),
+		ready:   make(chan struct{}),
 	}
 }
 
@@ -244,24 +211,10 @@ func (d *Dispatcher) Retries() int { return d.cfg.Retries }
 // Counters returns a snapshot of the accounting.
 func (d *Dispatcher) Counters() Counters {
 	d.mu.Lock()
-	nw, nq := int64(len(d.workers)), int64(len(d.queue))
-	d.mu.Unlock()
-	return Counters{
-		Workers:        nw,
-		QueueDepth:     nq,
-		Registers:      d.registers.Load(),
-		Departs:        d.departs.Load(),
-		WorkersLost:    d.workersLost.Load(),
-		LeasesGranted:  d.leasesGranted.Load(),
-		LeasesExpired:  d.leasesExpired.Load(),
-		Requeues:       d.requeues.Load(),
-		StaleResults:   d.staleResults.Load(),
-		RemoteComputes: d.remoteComputes.Load(),
-		RemoteErrors:   d.remoteErrors.Load(),
-		LocalComputes:  d.localComputes.Load(),
-		LocalFallbacks: d.localFallbacks.Load(),
-		Retries:        d.retries.Load(),
-	}
+	defer d.mu.Unlock()
+	c := d.counters
+	c.Workers, c.QueueDepth = int64(len(d.workers)), int64(len(d.queue))
+	return c
 }
 
 // Workers lists the registered workers for diagnostics.
@@ -301,10 +254,14 @@ func (d *Dispatcher) RegisterWorker(name string, parallel int) RegisterInfo {
 		leases:   make(map[uint64]*lease),
 	}
 	d.workers[w.id] = w
+	d.counters.Registers++
 	d.mu.Unlock()
-	d.registers.Add(1)
 	d.log.Info("worker registered", "worker", w.id, "name", name, "parallel", parallel)
-	return RegisterInfo{Worker: w.id, LeaseTTL: d.cfg.LeaseTTL, HeartbeatEvery: d.cfg.LeaseTTL / 3}
+	return RegisterInfo{
+		Worker:      w.id,
+		LeaseTTLMS:  d.cfg.LeaseTTL.Milliseconds(),
+		HeartbeatMS: (d.cfg.LeaseTTL / 3).Milliseconds(),
+	}
 }
 
 // Deregister removes a worker gracefully: its outstanding leases are
@@ -317,7 +274,7 @@ func (d *Dispatcher) Deregister(workerID string) error {
 		return ErrUnknownWorker
 	}
 	d.removeWorkerLocked(w, "worker-departed")
-	d.departs.Add(1)
+	d.counters.Departs++
 	d.log.Info("worker departed", "worker", workerID)
 	return nil
 }
@@ -350,74 +307,47 @@ func (d *Dispatcher) Heartbeat(workerID string, leaseIDs []uint64) error {
 
 // Lease hands the worker one queued cell under a fresh lease,
 // long-polling up to wait when the queue is empty (nil Grant on
-// timeout).  The worker must Complete the lease or keep it renewed by
-// heartbeat; otherwise the cell is requeued at the deadline.
+// timeout).  A parked call sleeps on the ready channel and, woken,
+// races the other parked calls for the queue head, so popping the
+// queue is the only way a lease is granted.  The worker must Complete
+// the lease or keep it renewed by heartbeat; otherwise the cell is
+// requeued at the deadline.
 func (d *Dispatcher) Lease(ctx context.Context, workerID string, wait time.Duration) (*Grant, error) {
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	w := d.workers[workerID]
 	if w == nil {
-		d.mu.Unlock()
 		return nil, ErrUnknownWorker
 	}
 	w.lastSeen = d.cfg.Now()
-	if len(d.queue) > 0 {
-		t := d.queue[0]
-		d.queue = d.queue[1:]
-		t.queued = false
-		g := d.grantLocked(w, t)
+	var timeout <-chan time.Time
+	if wait > 0 {
+		timer := time.NewTimer(wait)
+		defer timer.Stop()
+		timeout = timer.C
+	}
+	for len(d.queue) == 0 {
+		if timeout == nil {
+			return nil, nil
+		}
+		ready := d.ready
 		d.mu.Unlock()
-		return g, nil
-	}
-	if wait <= 0 {
-		d.mu.Unlock()
-		return nil, nil
-	}
-	wt := &waiter{workerID: workerID, ch: make(chan *Grant, 1)}
-	d.waiters = append(d.waiters, wt)
-	d.mu.Unlock()
-
-	timer := time.NewTimer(wait)
-	defer timer.Stop()
-	var timedOut bool
-	select {
-	case g := <-wt.ch:
-		return g, nil
-	case <-ctx.Done():
-	case <-timer.C:
-		timedOut = true
-	}
-	d.mu.Lock()
-	for i, o := range d.waiters {
-		if o == wt {
-			d.waiters = append(d.waiters[:i], d.waiters[i+1:]...)
-			break
+		select {
+		case <-ready:
+		case <-ctx.Done():
+		case <-timeout:
+			timeout = nil // one last look at the queue, then give up
+		}
+		d.mu.Lock()
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		if d.workers[workerID] != w {
+			return nil, ErrUnknownWorker // removed while parked
 		}
 	}
-	// A grant may have raced the timeout; on a plain timeout the
-	// handler is still alive and can use it, but a dead request
-	// context means nobody will compute it — requeue.
-	select {
-	case g := <-wt.ch:
-		if timedOut {
-			d.mu.Unlock()
-			return g, nil
-		}
-		if l := d.leases[g.Lease]; l != nil {
-			d.expireLeaseLocked(l, "lease-request-died")
-		}
-		d.mu.Unlock()
-		return nil, ctx.Err()
-	default:
-	}
-	d.mu.Unlock()
-	if !timedOut && ctx.Err() != nil {
-		return nil, ctx.Err()
-	}
-	return nil, nil
-}
-
-// grantLocked creates a lease of t to w.  Caller holds d.mu.
-func (d *Dispatcher) grantLocked(w *worker, t *task) *Grant {
+	t := d.queue[0]
+	d.queue = d.queue[1:]
 	now := d.cfg.Now()
 	d.leaseSeq++
 	l := &lease{
@@ -430,28 +360,29 @@ func (d *Dispatcher) grantLocked(w *worker, t *task) *Grant {
 	l.span = t.tc.Start("lease").Str("worker", w.id).Uint("lease", l.id)
 	t.lease = l
 	w.leases[l.id] = l
-	d.leases[l.id] = l
-	d.leasesGranted.Add(1)
+	d.counters.LeasesGranted++
 	d.log.Debug("lease granted", "worker", w.id, "lease", l.id, "cell", t.spec.Name())
-	return &Grant{Lease: l.id, Key: t.key, Spec: t.spec, TTL: d.cfg.LeaseTTL}
+	return &Grant{Lease: l.id, Key: t.key, Spec: t.spec, TTLMS: d.cfg.LeaseTTL.Milliseconds()}, nil
 }
 
 // Complete reports one lease's outcome: a record, a compute error, or
 // a release (the worker is giving the cell back, e.g. on shutdown).
-// A completion for a lease the dispatcher no longer tracks — expired,
-// worker declared dead, cell already requeued — is dropped as stale;
-// the caller learns via the return value, and exactly-once storage is
-// preserved because only the current leaseholder's result is
-// delivered.
+// The lease is looked up among the reporting worker's own leases, so
+// a completion for a lease that worker no longer holds — expired,
+// worker declared dead, cell already requeued, or a lease of another
+// worker — is dropped as stale; the caller learns via the return
+// value, and exactly-once storage is preserved because only the
+// current leaseholder's result is delivered.
 func (d *Dispatcher) Complete(workerID string, leaseID uint64, rec *store.Record, errMsg string, release bool) (stale bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	var l *lease
 	if w := d.workers[workerID]; w != nil {
 		w.lastSeen = d.cfg.Now()
+		l = w.leases[leaseID]
 	}
-	l := d.leases[leaseID]
-	if l == nil || l.w.id != workerID {
-		d.staleResults.Add(1)
+	if l == nil {
+		d.counters.StaleResults++
 		d.log.Debug("stale completion dropped", "worker", workerID, "lease", leaseID)
 		return true
 	}
@@ -463,20 +394,19 @@ func (d *Dispatcher) Complete(workerID string, leaseID uint64, rec *store.Record
 		d.requeueLocked(t, "worker-released")
 	case errMsg != "":
 		l.span.Str("error", errMsg).End()
-		d.remoteErrors.Add(1)
+		d.counters.RemoteErrors++
 		d.deliverLocked(t, roundResult{kind: roundErr, errMsg: errMsg})
 	default:
 		l.span.End()
-		d.remoteComputes.Add(1)
+		d.counters.RemoteComputes++
 		d.deliverLocked(t, roundResult{kind: roundOK, rec: rec})
 	}
 	return false
 }
 
-// detachLeaseLocked unlinks a lease from its worker, task, and the
-// global table.  Caller holds d.mu.
+// detachLeaseLocked unlinks a lease from its worker and task.  Caller
+// holds d.mu.
 func (d *Dispatcher) detachLeaseLocked(l *lease) {
-	delete(d.leases, l.id)
 	delete(l.w.leases, l.id)
 	if l.t.lease == l {
 		l.t.lease = nil
@@ -493,64 +423,44 @@ func (d *Dispatcher) deliverLocked(t *task, r roundResult) {
 }
 
 // requeueLocked returns a task to service after an infrastructure
-// failure: back onto the queue head (or straight to a parked waiter)
-// while its requeue budget lasts, otherwise — or when no workers
-// remain — delivered as a local-compute fallback.  Caller holds d.mu.
+// failure: back onto the queue head while its requeue budget lasts,
+// otherwise — or when no workers remain — delivered as a local-compute
+// fallback.  Caller holds d.mu.
 func (d *Dispatcher) requeueLocked(t *task, reason string) {
 	if t.abandoned {
 		return
 	}
 	t.requeues++
-	d.requeues.Add(1)
+	d.counters.Requeues++
 	t.tc.Start("requeue").Str("reason", reason).Uint("requeues", uint64(t.requeues)).End()
 	d.log.Info("cell requeued", "cell", t.spec.Name(), "reason", reason, "requeues", t.requeues)
 	if t.requeues > d.cfg.MaxRequeues || len(d.workers) == 0 {
-		d.localFallbacks.Add(1)
+		d.counters.LocalFallbacks++
 		d.deliverLocked(t, roundResult{kind: roundFallback, errMsg: reason})
 		return
 	}
-	if d.handToWaiterLocked(t) {
-		return
-	}
 	d.queue = append([]*task{t}, d.queue...)
-	t.queued = true
+	d.wakeLocked()
 }
 
-// handToWaiterLocked grants t to the first parked Lease call whose
-// worker is still alive.  Caller holds d.mu.
-func (d *Dispatcher) handToWaiterLocked(t *task) bool {
-	for len(d.waiters) > 0 {
-		wt := d.waiters[0]
-		d.waiters = d.waiters[1:]
-		w := d.workers[wt.workerID]
-		if w == nil {
-			continue
-		}
-		wt.ch <- d.grantLocked(w, t)
-		return true
-	}
-	return false
+// wakeLocked wakes every parked Lease call after a task joined the
+// queue.  Caller holds d.mu.
+func (d *Dispatcher) wakeLocked() {
+	close(d.ready)
+	d.ready = make(chan struct{})
 }
 
-// removeWorkerLocked drops a worker and requeues everything it held.
+// removeWorkerLocked drops a worker and expires everything it held.
 // When the last worker leaves, the queue is flushed to local compute.
 // Caller holds d.mu.
 func (d *Dispatcher) removeWorkerLocked(w *worker, reason string) {
 	delete(d.workers, w.id)
 	for _, l := range w.leases {
-		delete(d.leases, l.id)
-		if l.t.lease == l {
-			l.t.lease = nil
-		}
-		l.span.Str("end", reason).End()
-		d.leasesExpired.Add(1)
-		d.requeueLocked(l.t, reason)
+		d.expireLeaseLocked(l, reason)
 	}
-	w.leases = make(map[uint64]*lease)
 	if len(d.workers) == 0 {
 		for _, t := range d.queue {
-			t.queued = false
-			d.localFallbacks.Add(1)
+			d.counters.LocalFallbacks++
 			d.deliverLocked(t, roundResult{kind: roundFallback, errMsg: "no workers attached"})
 		}
 		d.queue = nil
@@ -562,7 +472,7 @@ func (d *Dispatcher) removeWorkerLocked(w *worker, reason string) {
 func (d *Dispatcher) expireLeaseLocked(l *lease, reason string) {
 	d.detachLeaseLocked(l)
 	l.span.Str("end", reason).End()
-	d.leasesExpired.Add(1)
+	d.counters.LeasesExpired++
 	d.requeueLocked(l.t, reason)
 }
 
@@ -585,16 +495,18 @@ func (d *Dispatcher) Reap() int {
 	}
 	for _, w := range lost {
 		n += len(w.leases)
-		d.workersLost.Add(1)
+		d.counters.WorkersLost++
 		d.log.Warn("worker lost", "worker", w.id, "name", w.name, "leases", len(w.leases),
 			"silent", now.Sub(w.lastSeen).String())
 		d.removeWorkerLocked(w, "worker-lost")
 	}
 	var overdue []*lease
 	//simlint:ignore determinism -- requeue order does not affect results (the store dedupes)
-	for _, l := range d.leases {
-		if now.After(l.deadline) {
-			overdue = append(overdue, l)
+	for _, w := range d.workers {
+		for _, l := range w.leases {
+			if now.After(l.deadline) {
+				overdue = append(overdue, l)
+			}
 		}
 	}
 	for _, l := range overdue {
@@ -625,21 +537,18 @@ func (d *Dispatcher) StartReaper(ctx context.Context, interval time.Duration) {
 	}()
 }
 
-// enqueue admits a cell to the fleet, granting it straight to a parked
-// Lease call when one is waiting.  It returns nil when no workers are
-// attached (the caller computes locally).
+// enqueue admits a cell to the tail of the queue and wakes the parked
+// Lease calls.  It returns nil when no workers are attached (the
+// caller computes locally).
 func (d *Dispatcher) enqueue(spec Spec, key string, tc trace.Ctx) *task {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if len(d.workers) == 0 {
 		return nil
 	}
-	d.taskSeq++
-	t := &task{seq: d.taskSeq, spec: spec, key: key, tc: tc, ch: make(chan roundResult, 1)}
-	if !d.handToWaiterLocked(t) {
-		d.queue = append(d.queue, t)
-		t.queued = true
-	}
+	t := &task{spec: spec, key: key, tc: tc, ch: make(chan roundResult, 1)}
+	d.queue = append(d.queue, t)
+	d.wakeLocked()
 	return t
 }
 
@@ -650,14 +559,11 @@ func (d *Dispatcher) abandon(t *task) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	t.abandoned = true
-	if t.queued {
-		for i, q := range d.queue {
-			if q == t {
-				d.queue = append(d.queue[:i], d.queue[i+1:]...)
-				break
-			}
+	for i, q := range d.queue {
+		if q == t {
+			d.queue = append(d.queue[:i], d.queue[i+1:]...)
+			break
 		}
-		t.queued = false
 	}
 	if l := t.lease; l != nil {
 		d.detachLeaseLocked(l)
@@ -723,7 +629,9 @@ func (d *Dispatcher) Compute(ctx context.Context, spec Spec, key string, tc trac
 // localAttempt runs one in-process compute attempt under an "attempt"
 // span (the same schema the pre-fleet job server recorded).
 func (d *Dispatcher) localAttempt(ctx context.Context, spec Spec, tc trace.Ctx, attempt int) (*store.Record, error) {
-	d.localComputes.Add(1)
+	d.mu.Lock()
+	d.counters.LocalComputes++
+	d.mu.Unlock()
 	at := tc.Start("attempt").Uint("attempt", uint64(attempt))
 	rec, err := d.cfg.Local(ctx, spec)
 	if err != nil {
@@ -738,7 +646,9 @@ func (d *Dispatcher) localAttempt(ctx context.Context, spec Spec, tc trace.Ctx, 
 // attempt (1-based), initializing the per-compute jitter stream on
 // first use.
 func (d *Dispatcher) backoffWait(ctx context.Context, tc trace.Ctx, attempt int, rnd *func() float64) error {
-	d.retries.Add(1)
+	d.mu.Lock()
+	d.counters.Retries++
+	d.mu.Unlock()
 	if d.cfg.RetryDelay <= 0 {
 		return ctx.Err()
 	}

@@ -611,6 +611,127 @@ func TestLongPollTimeout(t *testing.T) {
 	}
 }
 
+// TestParkedPollsShareOneGrant: two workers' parked polls are both
+// woken by one enqueue, but only one can pop the cell; the other
+// re-parks and returns nil at its timeout.
+func TestParkedPollsShareOneGrant(t *testing.T) {
+	d := newTestDispatcher(nil, nil)
+	type poll struct {
+		worker  string
+		g       *Grant
+		err     error
+		elapsed time.Duration
+	}
+	const wait = 200 * time.Millisecond
+	polls := make(chan poll, 2)
+	for _, name := range []string{"a", "b"} {
+		id := d.RegisterWorker(name, 1).Worker
+		go func() {
+			start := time.Now()
+			g, err := d.Lease(context.Background(), id, wait)
+			polls <- poll{id, g, err, time.Since(start)}
+		}()
+	}
+	time.Sleep(20 * time.Millisecond) // let both pollers park
+	done := make(chan *store.Record, 1)
+	go func() {
+		rec, _ := d.Compute(context.Background(), testSpec("m"), "key", trace.Ctx{})
+		done <- rec
+	}()
+	var won *poll
+	for i := 0; i < 2; i++ {
+		p := <-polls
+		if p.err != nil {
+			t.Fatalf("Lease(%s): %v", p.worker, p.err)
+		}
+		if p.g == nil {
+			if p.elapsed < wait {
+				t.Errorf("losing poll returned nil after %v, before its %v timeout", p.elapsed, wait)
+			}
+			continue
+		}
+		if won != nil {
+			t.Fatal("one cell granted to both parked polls")
+		}
+		won = &p
+	}
+	if won == nil {
+		t.Fatal("no parked poll was granted the cell")
+	}
+	if stale := d.Complete(won.worker, won.g.Lease, testRecord(), "", false); stale {
+		t.Fatal("winning poll's completion flagged stale")
+	}
+	if rec := <-done; rec == nil {
+		t.Fatal("Compute returned nil record")
+	}
+	if c := d.Counters(); c.LeasesGranted != 1 || c.RemoteComputes != 1 {
+		t.Fatalf("counters = %+v, want 1 lease granted and 1 remote compute", c)
+	}
+}
+
+// TestParkedPollOfRemovedWorkerTakesNothing: a poll parked by a worker
+// that is removed meanwhile wakes with ErrUnknownWorker instead of
+// leasing the cell to a worker the reaper no longer walks, so the cell
+// stays queued for a live worker.
+func TestParkedPollOfRemovedWorkerTakesNothing(t *testing.T) {
+	d := newTestDispatcher(nil, nil)
+	a := d.RegisterWorker("a", 1).Worker
+	b := d.RegisterWorker("b", 1).Worker
+	polled := make(chan error, 1)
+	go func() {
+		_, err := d.Lease(context.Background(), a, 5*time.Second)
+		polled <- err
+	}()
+	time.Sleep(20 * time.Millisecond) // let a's poll park
+	if err := d.Deregister(a); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan *store.Record, 1)
+	go func() {
+		rec, _ := d.Compute(context.Background(), testSpec("m"), "key", trace.Ctx{})
+		done <- rec
+	}()
+	if err := <-polled; !errors.Is(err, ErrUnknownWorker) {
+		t.Fatalf("removed worker's parked Lease err = %v, want ErrUnknownWorker", err)
+	}
+	g := waitLease(t, d, b)
+	if stale := d.Complete(b, g.Lease, testRecord(), "", false); stale {
+		t.Fatal("live worker's completion flagged stale")
+	}
+	if rec := <-done; rec == nil {
+		t.Fatal("Compute returned nil record")
+	}
+}
+
+// TestCompleteFromOtherWorkerIsStale: a completion naming a live
+// lease that a different worker holds is dropped as stale, and the
+// holder's own completion is still delivered.
+func TestCompleteFromOtherWorkerIsStale(t *testing.T) {
+	d := newTestDispatcher(nil, nil)
+	a := d.RegisterWorker("a", 1).Worker
+	b := d.RegisterWorker("b", 1).Worker
+	done := make(chan *store.Record, 1)
+	go func() {
+		rec, _ := d.Compute(context.Background(), testSpec("m"), "key", trace.Ctx{})
+		done <- rec
+	}()
+	g := waitLease(t, d, b)
+	if stale := d.Complete(a, g.Lease, testRecord(), "", false); !stale {
+		t.Fatal("completion from a worker that does not hold the lease not flagged stale")
+	}
+	want := testRecord()
+	want.Key = "from-b"
+	if stale := d.Complete(b, g.Lease, want, "", false); stale {
+		t.Fatal("leaseholder's completion flagged stale")
+	}
+	if rec := <-done; rec == nil || rec.Key != "from-b" {
+		t.Fatalf("Compute returned %+v, want the leaseholder's record", rec)
+	}
+	if c := d.Counters(); c.StaleResults != 1 || c.RemoteComputes != 1 {
+		t.Fatalf("counters = %+v, want 1 stale result and 1 remote compute", c)
+	}
+}
+
 func TestWorkerHTTPRoundTrip(t *testing.T) {
 	d := newTestDispatcher(nil, nil)
 	mux := http.NewServeMux()

@@ -24,7 +24,10 @@ type registerRequest struct {
 	Parallel int    `json:"parallel"`
 }
 
-type registerResponse struct {
+// RegisterInfo is the reply to a worker registration (the
+// /fleet/register body): the assigned ID and the lease/heartbeat
+// timing contract.
+type RegisterInfo struct {
 	Worker      string `json:"worker"`
 	LeaseTTLMS  int64  `json:"lease_ttl_ms"`
 	HeartbeatMS int64  `json:"heartbeat_ms"`
@@ -35,7 +38,9 @@ type leaseRequest struct {
 	WaitMS int64  `json:"wait_ms"`
 }
 
-type leaseResponse struct {
+// Grant is the reply to a successful Lease (the /fleet/lease body):
+// one cell under one lease.
+type Grant struct {
 	Lease uint64 `json:"lease"`
 	Key   string `json:"key"`
 	Spec  Spec   `json:"spec"`
@@ -116,12 +121,7 @@ func (d *Dispatcher) handleRegister(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad register body: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	info := d.RegisterWorker(req.Name, req.Parallel)
-	writeJSON(w, http.StatusOK, registerResponse{
-		Worker:      info.Worker,
-		LeaseTTLMS:  info.LeaseTTL.Milliseconds(),
-		HeartbeatMS: info.HeartbeatEvery.Milliseconds(),
-	})
+	writeJSON(w, http.StatusOK, d.RegisterWorker(req.Name, req.Parallel))
 }
 
 func (d *Dispatcher) handleLease(w http.ResponseWriter, r *http.Request) {
@@ -149,9 +149,7 @@ func (d *Dispatcher) handleLease(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}
-	writeJSON(w, http.StatusOK, leaseResponse{
-		Lease: g.Lease, Key: g.Key, Spec: g.Spec, TTLMS: g.TTL.Milliseconds(),
-	})
+	writeJSON(w, http.StatusOK, g)
 }
 
 func (d *Dispatcher) handleHeartbeat(w http.ResponseWriter, r *http.Request) {

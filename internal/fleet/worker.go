@@ -52,7 +52,6 @@ type Worker struct {
 
 	mu       sync.Mutex
 	id       string
-	ttl      time.Duration
 	beat     time.Duration
 	holding  map[uint64]bool
 	computes uint64
@@ -141,19 +140,19 @@ func gone(err error) bool {
 func (w *Worker) register(ctx context.Context) error {
 	rnd := backoff.Rand(1)
 	for attempt := 0; ; attempt++ {
-		var resp registerResponse
+		var resp RegisterInfo
 		err := w.post(ctx, "/fleet/register", registerRequest{Name: w.cfg.Name, Parallel: w.cfg.Parallel}, &resp)
 		if err == nil {
 			w.mu.Lock()
 			w.id = resp.Worker
-			w.ttl = time.Duration(resp.LeaseTTLMS) * time.Millisecond
 			w.beat = time.Duration(resp.HeartbeatMS) * time.Millisecond
 			if w.beat <= 0 {
 				w.beat = time.Second
 			}
 			w.holding = make(map[uint64]bool)
 			w.mu.Unlock()
-			w.log.Info("registered", "worker", resp.Worker, "lease_ttl", w.ttl.String())
+			w.log.Info("registered", "worker", resp.Worker, "lease_ttl",
+				(time.Duration(resp.LeaseTTLMS) * time.Millisecond).String())
 			return nil
 		}
 		if ctx.Err() != nil {
@@ -174,11 +173,10 @@ func (w *Worker) workerID() string {
 }
 
 // heartbeatLoop renews held leases every beat until ctx is done.  A
-// 410 means the daemon reaped us: re-registration is signalled on
-// reregister (buffered 1) and picked up by the pullers' next lease
-// failure — here we just keep trying with the current ID until Run
-// swaps it.
-func (w *Worker) heartbeatLoop(ctx context.Context, goneCh chan<- struct{}) {
+// 410 means the daemon reaped us; the pullers' next lease poll gets
+// the same 410 and re-registers, so here we just keep beating with the
+// current ID until that swaps it.
+func (w *Worker) heartbeatLoop(ctx context.Context) {
 	for {
 		w.mu.Lock()
 		beat := w.beat
@@ -194,13 +192,7 @@ func (w *Worker) heartbeatLoop(ctx context.Context, goneCh chan<- struct{}) {
 			leases = append(leases, l)
 		}
 		w.mu.Unlock()
-		err := w.post(ctx, "/fleet/heartbeat", heartbeatRequest{Worker: id, Leases: leases}, nil)
-		if gone(err) {
-			select {
-			case goneCh <- struct{}{}:
-			default:
-			}
-		}
+		_ = w.post(ctx, "/fleet/heartbeat", heartbeatRequest{Worker: id, Leases: leases}, nil)
 	}
 }
 
@@ -213,8 +205,7 @@ func (w *Worker) Run(ctx context.Context) error {
 	if err := w.register(ctx); err != nil {
 		return err
 	}
-	goneCh := make(chan struct{}, 1)
-	go w.heartbeatLoop(ctx, goneCh)
+	go w.heartbeatLoop(ctx)
 
 	var regMu sync.Mutex // serializes re-registration across pullers
 	reregister := func(oldID string) {
@@ -232,7 +223,7 @@ func (w *Worker) Run(ctx context.Context) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			w.pullLoop(ctx, goneCh, reregister)
+			w.pullLoop(ctx, reregister)
 		}()
 	}
 	wg.Wait()
@@ -259,21 +250,16 @@ func (w *Worker) Run(ctx context.Context) error {
 }
 
 // pullLoop is one puller: long-poll a lease, compute, complete.
-func (w *Worker) pullLoop(ctx context.Context, goneCh <-chan struct{}, reregister func(oldID string)) {
+func (w *Worker) pullLoop(ctx context.Context, reregister func(oldID string)) {
 	rnd := backoff.Rand(2)
 	errStreak := 0
 	for {
 		if ctx.Err() != nil {
 			return
 		}
-		select {
-		case <-goneCh:
-			reregister(w.workerID())
-		default:
-		}
 		id := w.workerID()
-		var lr leaseResponse
-		err := w.post(ctx, "/fleet/lease", leaseRequest{Worker: id, WaitMS: w.cfg.PollWait.Milliseconds()}, &lr)
+		var g Grant
+		err := w.post(ctx, "/fleet/lease", leaseRequest{Worker: id, WaitMS: w.cfg.PollWait.Milliseconds()}, &g)
 		if err != nil {
 			if ctx.Err() != nil {
 				return
@@ -291,26 +277,26 @@ func (w *Worker) pullLoop(ctx context.Context, goneCh <-chan struct{}, reregiste
 			continue
 		}
 		errStreak = 0
-		if lr.Lease == 0 {
+		if g.Lease == 0 {
 			continue // long-poll timeout (204): poll again
 		}
-		w.serve(ctx, id, lr)
+		w.serve(ctx, id, g)
 	}
 }
 
 // serve computes one leased cell and reports the outcome.
-func (w *Worker) serve(ctx context.Context, id string, lr leaseResponse) {
+func (w *Worker) serve(ctx context.Context, id string, g Grant) {
 	w.mu.Lock()
-	w.holding[lr.Lease] = true
+	w.holding[g.Lease] = true
 	w.mu.Unlock()
 	defer func() {
 		w.mu.Lock()
-		delete(w.holding, lr.Lease)
+		delete(w.holding, g.Lease)
 		w.mu.Unlock()
 	}()
-	w.log.Debug("leased cell", "lease", lr.Lease, "cell", lr.Spec.Name())
-	rec, err := w.cfg.Compute(ctx, lr.Spec)
-	req := completeRequest{Worker: id, Lease: lr.Lease}
+	w.log.Debug("leased cell", "lease", g.Lease, "cell", g.Spec.Name())
+	rec, err := w.cfg.Compute(ctx, g.Spec)
+	req := completeRequest{Worker: id, Lease: g.Lease}
 	if err != nil {
 		if ctx.Err() != nil {
 			// Shutting down mid-compute: give the cell back rather
@@ -333,10 +319,10 @@ func (w *Worker) serve(ctx context.Context, id string, lr leaseResponse) {
 	}
 	var cr completeResponse
 	if cerr := w.post(cctx, "/fleet/complete", req, &cr); cerr != nil {
-		w.log.Warn("complete failed", "lease", lr.Lease, "err", cerr.Error())
+		w.log.Warn("complete failed", "lease", g.Lease, "err", cerr.Error())
 		return
 	}
 	if cr.Stale {
-		w.log.Info("completion was stale (lease expired or requeued)", "lease", lr.Lease)
+		w.log.Info("completion was stale (lease expired or requeued)", "lease", g.Lease)
 	}
 }

@@ -20,7 +20,10 @@
 // taxonomy.
 package obs
 
-import "math/bits"
+import (
+	"math/bits"
+	"strings"
+)
 
 // Stage identifies the pipeline stage (or lifecycle transition) an
 // Event describes.
@@ -258,6 +261,22 @@ func (r *Ring) Events() []Event {
 		out = append(out, r.buf[i&r.mask])
 	}
 	return out
+}
+
+// Dump renders the retained events oldest-first under a "flight
+// recorder" header: the one rendering behind machine-state dumps and
+// crash reports.  It is nil-safe and returns "" when nothing was
+// recorded.
+func (r *Ring) Dump() string {
+	if r == nil || r.Len() == 0 {
+		return ""
+	}
+	var b strings.Builder
+	b.WriteString("flight recorder (last " + itoa(int64(r.Len())) + " of " + utoa(r.Total()) + " events):\n")
+	for _, e := range r.Events() {
+		b.WriteString("  " + e.String() + "\n")
+	}
+	return b.String()
 }
 
 // histBuckets is the bucket count of every histogram: power-of-two

@@ -171,7 +171,7 @@ func TestSampledHaltInTailDeterminism(t *testing.T) {
 func TestReusedIntervalCoreMatchesFresh(t *testing.T) {
 	mach := config.Big216()
 	p := mustWorkload(t, "li")
-	cfg := Config{Period: 4_000, IntervalLen: 500, WarmupLen: 500, Workers: 1}.withDefaults()
+	cfg := Config{Period: 4_000, IntervalLen: 500, WarmupLen: 500, Workers: 1}.WithDefaults()
 	const maxInsts = 32_000
 	progs := []*program.Program{p}
 	for _, name := range []string{"SMT", "TME", "REC", "REC/RU", "REC/RS", "REC/RS/RU"} {

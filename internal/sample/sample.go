@@ -46,7 +46,10 @@ type Config struct {
 	Poll func() error
 }
 
-func (cfg Config) withDefaults() Config {
+// WithDefaults fills each zero schedule field with its default: the
+// one copy of the sampling defaults, which store cell keys and report
+// headers also use.
+func (cfg Config) WithDefaults() Config {
 	if cfg.Period == 0 {
 		cfg.Period = 20_000
 	}
@@ -133,7 +136,7 @@ func (r *Result) WriteText(w io.Writer) error {
 // simulation.  The run is deterministic: the same inputs produce
 // byte-identical Results for every worker count.
 func Run(mach config.Machine, feat config.Features, prog *program.Program, maxInsts uint64, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	if cfg.IntervalLen+cfg.WarmupLen > cfg.Period {
 		return nil, fmt.Errorf("sample: interval %d + warmup %d exceed period %d",
 			cfg.IntervalLen, cfg.WarmupLen, cfg.Period)
@@ -318,7 +321,8 @@ func (sl *intervalSlot) runInterval(mach config.Machine, feat config.Features, p
 	}
 
 	// The cycle budget covers warmup plus interval at the worst
-	// plausible CPI, mirroring the facade's detailed-run budget.
+	// plausible CPI, mirroring fleet.Execute's 40x detailed-cell budget
+	// (the facade's own default is 4x).
 	budget := 40*(cfg.WarmupLen+cfg.IntervalLen) + 10_000
 	if _, err := c.Run(cfg.WarmupLen, budget); err != nil {
 		return iv, fmt.Errorf("detached warmup: %w", err)

@@ -9,6 +9,7 @@ import (
 
 	"recyclesim/internal/config"
 	"recyclesim/internal/program"
+	"recyclesim/internal/sample"
 	"recyclesim/internal/workload"
 )
 
@@ -69,9 +70,9 @@ func (c Cell) Key() (string, error) {
 }
 
 // Sampling is the sampled-mode schedule of a cell.  Zero fields select
-// the simulator defaults (period 20000, interval 1000, warmup 1000,
-// confidence 0.95); the key normalizes them, so default and spelled-out
-// schedules share a record.  The confidence level is part of the key:
+// the simulator defaults (sample.Config.WithDefaults); the key
+// normalizes them, so default and spelled-out schedules share a
+// record.  The confidence level is part of the key:
 // it changes the IPCLo/IPCHi/CPIHalf bounds a record serves, not just
 // their label, so a durable store that ignored it would serve stale
 // bounds forever.
@@ -82,24 +83,13 @@ type Sampling struct {
 	Confidence  float64 `json:"confidence,omitempty"`
 }
 
-// normalized applies the simulator's schedule defaults, so a cell
-// submitted with zero (default) fields shares its record with the same
-// cell submitted with the defaults spelled out.
-func (s Sampling) normalized() Sampling {
-	if s.Period == 0 {
-		s.Period = 20_000
-	}
-	if s.IntervalLen == 0 {
-		s.IntervalLen = 1_000
-	}
-	if s.WarmupLen == 0 {
-		s.WarmupLen = 1_000
-	}
-	//simlint:ignore floatcmp -- exact zero means "unset", selects the default
-	if s.Confidence == 0 {
-		s.Confidence = 0.95
-	}
-	return s
+// Normalized applies the simulator's schedule defaults
+// (sample.Config.WithDefaults), so a cell submitted with zero (default)
+// fields shares its record with the same cell submitted with the
+// defaults spelled out.
+func (s Sampling) Normalized() Sampling {
+	c := sample.Config{Period: s.Period, IntervalLen: s.IntervalLen, WarmupLen: s.WarmupLen, Confidence: s.Confidence}.WithDefaults()
+	return Sampling{Period: c.Period, IntervalLen: c.IntervalLen, WarmupLen: c.WarmupLen, Confidence: c.Confidence}
 }
 
 // HashPrograms returns the content hash of a resolved workload: every
@@ -139,7 +129,7 @@ func CellKey(m config.Machine, f config.Features, workloadHash string, insts uin
 	fmt.Fprintf(&b, "%s|machine=%+v|features=%+v|workload=%s|insts=%d",
 		keySchema, m, f, workloadHash, insts)
 	if samp != nil {
-		n := samp.normalized()
+		n := samp.Normalized()
 		fmt.Fprintf(&b, "|sampled=%d-%d-%d|confidence=%g",
 			n.Period, n.IntervalLen, n.WarmupLen, n.Confidence)
 	}
