@@ -19,6 +19,8 @@
 #   make smoke       one short instrumented run through both telemetry
 #                    exporters (-metrics / -metrics-text), output discarded
 #   make invariant   cosim suite with the runtime invariant checker forced on
+#                    (siminvariant build tag: every rule, including the
+#                    scheduling caches, swept every 256 cycles)
 #   make bench       benchmark suite; fails on >10% simInsts/s regression
 #                    vs the committed BENCH_simulator.json, then refreshes it
 #   make bench-smoke throughput benchmarks only (detailed + sampled), gated
@@ -31,7 +33,7 @@ GO ?= go
 
 .PHONY: check fmt vet build lint test perfbench stress fuzz smoke invariant bench bench-smoke
 
-check: fmt vet build lint test perfbench fuzz smoke
+check: fmt vet build lint test perfbench fuzz smoke invariant
 
 fmt:
 	@out="$$(gofmt -l .)"; \

@@ -23,6 +23,11 @@ import (
 // Entry is one renamed instruction.  It is identified by (context,
 // Seq); Seq increases by one per rename in the owning context and
 // doubles as the ring index.
+//
+// Field order is chosen for size: the word-sized fields come first and
+// every bool packs into the tail with Trace, so an entry is 160 bytes.
+// The issue loop, the completion wheel and commit all read entries
+// scattered across eight rings, so each cache line saved counts.
 type Entry struct {
 	Ctx  int
 	Seq  uint64
@@ -35,6 +40,32 @@ type Entry struct {
 	Src1   regfile.PhysReg // physical source for Rs1 (NoReg => constant zero)
 	Src2   regfile.PhysReg // physical source for Rs2
 
+	// Execution results.
+	Result uint64
+	Addr   uint64 // effective address for memory operations
+	NextPC uint64 // resolved next PC
+
+	// Branch prediction state carried for recovery and training: the
+	// direction and target the branch was fetched (or recycled) under
+	// are Pred.Taken and Pred.Target.
+	Pred bpred.Pred
+
+	// TME forking: the alternate context spawned for this branch.
+	AltCtx int
+
+	// ReuseSrc is the context whose trace supplied a reused result
+	// (-1 when the entry is not reused).
+	ReuseSrc int
+
+	// Timing.
+	ReadyAt uint64 // cycle the result becomes available (once Executed)
+
+	// Trace is the pipetrace handle assigned at rename (0 when the
+	// entry is untraced; see internal/obs/pipetrace).  Push's slot
+	// reset clears it, so recycled ring slots never inherit a stale
+	// handle.
+	Trace int32
+
 	// Status flags.
 	Committed  bool
 	Dispatched bool // entered the instruction queue
@@ -43,34 +74,8 @@ type Entry struct {
 	Reused     bool // bypassed issue/execute via instruction reuse
 	Recycled   bool // entered rename through the recycle datapath
 	NoIssue    bool // alternate-path policy cancelled execution
-
-	// Execution results.
-	Result uint64
-	Addr   uint64 // effective address for memory operations
-	Taken  bool   // resolved branch direction
-	NextPC uint64 // resolved next PC
-
-	// Branch prediction state carried for recovery and training.
-	Pred       bpred.Pred
-	PredTaken  bool
-	PredTarget uint64
-
-	// TME forking.
-	Forked bool
-	AltCtx int
-
-	// ReuseSrc is the context whose trace supplied a reused result
-	// (-1 when the entry is not reused).
-	ReuseSrc int
-
-	// Trace is the pipetrace handle assigned at rename (0 when the
-	// entry is untraced; see internal/obs/pipetrace).  Push's slot
-	// reset clears it, so recycled ring slots never inherit a stale
-	// handle.
-	Trace int32
-
-	// Timing.
-	ReadyAt uint64 // cycle the result becomes available (once Executed)
+	Taken      bool // resolved branch direction
+	Forked     bool // a TME alternate was spawned at this branch
 }
 
 // TraceTaken returns the direction this entry's branch follows in the
@@ -82,7 +87,7 @@ func (e *Entry) TraceTaken() bool {
 	if e.Executed {
 		return e.Taken
 	}
-	return e.PredTaken
+	return e.Pred.Taken
 }
 
 // List is one context's active list: a ring of Capacity entries
@@ -97,6 +102,10 @@ type List struct {
 	start uint64
 	cmt   uint64
 	tail  uint64
+
+	// startIdx is start's ring slot (start % cap), kept in step with
+	// start so addressing an entry needs no division.
+	startIdx int
 }
 
 // New returns an empty active list with the given capacity.
@@ -110,6 +119,7 @@ func (l *List) Capacity() int { return l.cap }
 // Reset empties the list completely (context reclaim).
 func (l *List) Reset() {
 	l.start, l.cmt, l.tail = 0, 0, 0
+	l.startIdx = 0
 }
 
 // Clear is Reset that also zeroes every slot, returning the list to
@@ -119,7 +129,17 @@ func (l *List) Clear() {
 	clear(l.ents)
 }
 
-func (l *List) slot(seq uint64) *Entry { return &l.ents[seq%uint64(l.cap)] }
+// index returns the ring slot of seq (seq % cap) for seq in
+// [start, start+cap], the only sequence numbers the list addresses.
+func (l *List) index(seq uint64) int {
+	i := l.startIdx + int(seq-l.start)
+	if i >= l.cap {
+		i -= l.cap
+	}
+	return i
+}
+
+func (l *List) slot(seq uint64) *Entry { return &l.ents[l.index(seq)] }
 
 // Push allocates the next entry, evicting the oldest retained-committed
 // entry if the ring is full of history.  It fails (nil, false) when the
@@ -134,6 +154,9 @@ func (l *List) Push() (e *Entry, evictedSeq uint64, ok bool) {
 		}
 		evictedSeq = l.start
 		l.start++
+		if l.startIdx++; l.startIdx == l.cap {
+			l.startIdx = 0
+		}
 	}
 	e = l.slot(l.tail)
 	*e = Entry{Seq: l.tail}
@@ -182,6 +205,7 @@ func (l *List) SquashFrom(seq uint64, undo func(*Entry)) {
 	l.tail = seq
 	if l.start > l.tail {
 		l.start = l.tail
+		l.startIdx = int(l.start % uint64(l.cap))
 	}
 }
 
@@ -189,6 +213,7 @@ func (l *List) SquashFrom(seq uint64, undo func(*Entry)) {
 // clears retained history; used when a context is reclaimed.
 func (l *List) SquashAll(undo func(*Entry)) {
 	l.SquashFrom(l.cmt, undo)
+	l.startIdx = l.index(l.tail)
 	l.start = l.tail
 	l.cmt = l.tail
 }

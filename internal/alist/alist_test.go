@@ -3,7 +3,9 @@ package alist
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
+	"recyclesim/internal/bpred"
 	"recyclesim/internal/isa"
 )
 
@@ -116,7 +118,7 @@ func TestFirstPCAndFindPC(t *testing.T) {
 }
 
 func TestTraceTaken(t *testing.T) {
-	e := Entry{Inst: isa.Inst{Op: isa.OpBeq}, PredTaken: true}
+	e := Entry{Inst: isa.Inst{Op: isa.OpBeq}, Pred: bpred.Pred{Taken: true}}
 	if !e.TraceTaken() {
 		t.Error("unexecuted branch should report its prediction")
 	}
@@ -158,11 +160,17 @@ func mustAt(l *List, seq uint64) *Entry {
 
 // Property: after any interleaving of pushes, commits and squashes, the
 // invariants first <= commit <= tail and Len == tail-first hold, and
-// every retained seq is addressable.
+// every retained seq is addressable in ring slot seq % capacity.
 func TestRingInvariants(t *testing.T) {
-	fn := func(ops []uint8) bool {
+	fn := func(ops []uint8, odd bool) bool {
 		l := New(8)
+		if odd {
+			l = New(7)
+		}
 		for _, op := range ops {
+			if op%16 == 15 {
+				l.SquashAll(func(*Entry) {})
+			}
 			switch op % 4 {
 			case 0, 1:
 				l.Push()
@@ -182,7 +190,7 @@ func TestRingInvariants(t *testing.T) {
 				return false
 			}
 			for s := l.FirstSeq(); s < l.TailSeq(); s++ {
-				if e, ok := l.At(s); !ok || e.Seq != s {
+				if e, ok := l.At(s); !ok || e.Seq != s || e != &l.ents[s%uint64(l.cap)] {
 					return false
 				}
 			}
@@ -191,5 +199,20 @@ func TestRingInvariants(t *testing.T) {
 	}
 	if err := quick.Check(fn, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestRecordSizes pins the packed layout of the per-instruction records
+// the cycle loop touches: a reordering that re-scatters the bools shows
+// up here before it shows up as lost throughput.
+func TestRecordSizes(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes are pinned for 64-bit targets")
+	}
+	if got := unsafe.Sizeof(bpred.Pred{}); got != 32 {
+		t.Errorf("bpred.Pred is %d bytes, want 32", got)
+	}
+	if got := unsafe.Sizeof(Entry{}); got != 160 {
+		t.Errorf("alist.Entry is %d bytes, want 160", got)
 	}
 }

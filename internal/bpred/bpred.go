@@ -107,13 +107,15 @@ func (p *Predictor) CloneInto(dst *Predictor) {
 
 // Pred is a prediction plus the recovery state the pipeline must carry
 // with the branch so prediction structures can be repaired on a squash
-// and trained on commit.
+// and trained on commit.  The bools sit together at the end so the
+// record packs into 32 bytes (it is copied into every fetch-queue and
+// active-list entry).
 type Pred struct {
-	Taken   bool
 	Target  uint64
 	GHist   uint64 // history value used for the PHT index
 	RASTop  int    // return-stack pointer before this instruction
-	BTBMiss bool   // indirect jump found no BTB entry (fell through)
+	Taken   bool
+	BTBMiss bool // indirect jump found no BTB entry (fell through)
 }
 
 func (p *Predictor) phtIndex(pc, hist uint64) int {

@@ -19,12 +19,15 @@ func (c *Core) commit() {
 	n := len(c.ctxs)
 	stuck := 0
 	for budget > 0 && stuck < n {
-		t := c.ctxs[c.rrCommit%n]
-		if c.commitOne(t) {
+		// Only a live context can commit; skip the call for the rest.
+		t := c.ctxs[c.rrCommit]
+		if t.state.live() && c.commitOne(t) {
 			budget--
 			stuck = 0
 		} else {
-			c.rrCommit++
+			if c.rrCommit++; c.rrCommit == n {
+				c.rrCommit = 0
+			}
 			stuck++
 		}
 	}
@@ -53,7 +56,7 @@ func (c *Core) commitOne(t *Context) bool {
 		return false
 	}
 
-	in := e.Inst
+	in := &e.Inst
 	lp := t.part.prog
 
 	switch {
@@ -72,9 +75,9 @@ func (c *Core) commitOne(t *Context) bool {
 		// is part of the modelled hardware (the confidence table is
 		// tagged because forking the wrong program's branch would
 		// corrupt the fork statistics rather than just a prediction).
-		c.pred.Commit(e.PC, in, e.Pred, e.Taken, e.NextPC)
+		c.pred.Commit(e.PC, *in, e.Pred, e.Taken, e.NextPC)
 		if in.IsCondBranch() {
-			c.conf.Update(c.tagAddr(lp.idx, e.PC), e.Pred.GHist, e.Taken == e.PredTaken)
+			c.conf.Update(c.tagAddr(lp.idx, e.PC), e.Pred.GHist, e.Taken == e.Pred.Taken)
 		}
 	}
 
@@ -107,7 +110,7 @@ func (c *Core) commitOne(t *Context) bool {
 			Program: lp.idx,
 			Ctx:     t.id,
 			PC:      e.PC,
-			Inst:    in,
+			Inst:    *in,
 			Result:  e.Result,
 			Addr:    e.Addr,
 			Taken:   e.Taken,

@@ -49,16 +49,20 @@ func (s CtxState) String() string {
 	return "ctx?"
 }
 
+// live reports whether a context in this state can fetch, rename or
+// commit (the states the per-cycle scheduling walks).
+func (s CtxState) live() bool {
+	return s == CtxActive || s == CtxDraining || s == CtxRetiring
+}
+
 // fqEntry is one fetched, decoded instruction waiting for rename.
 type fqEntry struct {
 	pc         uint64
 	inst       isa.Inst
-	pred       bpred.Pred
-	predTaken  bool
-	predTgt    uint64
-	fetchCycle uint64 // cycle it entered the fetch queue (for pipetrace)
-	readyAt    uint64 // cycle it clears decode and may rename
-	postMerge  bool   // fetched beyond an in-progress recycle stream
+	pred       bpred.Pred // zero for non-branches
+	fetchCycle uint64     // cycle it entered the fetch queue (for pipetrace)
+	readyAt    uint64     // cycle it clears decode and may rename
+	postMerge  bool       // fetched beyond an in-progress recycle stream
 }
 
 // sqEntry is one in-flight store in a context's store queue.  Stores
@@ -92,9 +96,16 @@ func newStoreQueue(capacity int) storeQueue {
 
 func (q *storeQueue) len() int { return q.n }
 
-// at returns the i-th store in program order (0 = oldest).
+// at returns the i-th store in program order (0 = oldest); i <= n.
+// head and i are both below the ring size, so one conditional
+// subtraction wraps the index (load disambiguation calls this per
+// queued store, and a division there showed in profiles).
 func (q *storeQueue) at(i int) *sqEntry {
-	return &q.ents[(q.head+i)%len(q.ents)]
+	j := q.head + i
+	if j >= len(q.ents) {
+		j -= len(q.ents)
+	}
+	return &q.ents[j]
 }
 
 // push appends a renamed store.  Rename allocates an active-list slot
@@ -112,7 +123,9 @@ func (q *storeQueue) popFront() {
 	if q.n == 0 {
 		panic("core: popFront on empty store queue")
 	}
-	q.head = (q.head + 1) % len(q.ents)
+	if q.head++; q.head == len(q.ents) {
+		q.head = 0
+	}
 	q.n--
 }
 
@@ -201,32 +214,35 @@ type forkPath struct {
 }
 
 // Context is one hardware context of the SMT/TME machine.
+//
+// The fields the per-cycle scheduling reads for every live context
+// (state, fetch gating, queue occupancy, stream) come first, ahead of
+// the register map and the 2.8 KB inline fetch-queue array, so the
+// fetch and rename orderings read only the first cache line or two of
+// each context.
 type Context struct {
 	id    int
 	part  *Partition
 	state CtxState
 
-	isPrimary bool
+	isPrimary   bool
+	fetchHalted bool
+	altCapped   bool // alternate hit the path-length limit
+	resolved    bool // forking branch has resolved
+	hasMap      bool
 
-	// Fetch state.  The fetch queue is a fixed ring: pushes at fetch,
-	// pops at rename, wholesale clears on squash — none of it
-	// allocates.
+	// Fetch state.  The fetch queue (fq, at the end of the struct) is a
+	// fixed ring: pushes at fetch, pops at rename, wholesale clears on
+	// squash — none of it allocates.
 	fetchPC         uint64
 	fetchStallUntil uint64
-	fetchHalted     bool
-	altCapped       bool // alternate hit the path-length limit
-	fq              [fetchQueueCap]fqEntry
 	fqHead          int
 	fqN             int
 
-	// Rename state.
-	hasMap bool
-	mapTab [isa.NumRegs]regfile.PhysReg
-	al     *alist.List
-	mp     recycle.MergePoints
-
-	// Store queue (program order, uncommitted stores).
-	sq storeQueue
+	// Recycle consumption.  stream points at streamStore when live;
+	// streamBuf is the context-owned scratch the stream's items live in
+	// (one stream per consumer at a time, so both are safely reusable).
+	stream *recycleStream
 
 	// Speculative ancestry: this context's first instruction follows
 	// parent's entry parentSeq (the forking branch).  Commit is gated
@@ -235,23 +251,28 @@ type Context struct {
 	parentSeq uint64
 
 	// Alternate-path bookkeeping.
-	pathLen  int    // instructions fetched down this alternate path
-	spawnPC  uint64 // first PC of the path
-	path     forkPath
-	resolved bool // forking branch has resolved
-
-	// Recycle consumption.  stream points at streamStore when live;
-	// streamBuf is the context-owned scratch the stream's items live in
-	// (one stream per consumer at a time, so both are safely reusable).
-	stream      *recycleStream
-	streamStore recycleStream
-	streamBuf   []streamItem
+	pathLen int    // instructions fetched down this alternate path
+	spawnPC uint64 // first PC of the path
+	path    forkPath
 
 	// Reuse gating: uncommitted primary entries currently reusing this
 	// context's register mappings (§3.5 reclaim constraint).
 	outstandingReuse int
 
 	lruTick uint64
+
+	// Rename state.
+	al *alist.List
+	mp recycle.MergePoints
+
+	// Store queue (program order, uncommitted stores).
+	sq storeQueue
+
+	streamStore recycleStream
+	streamBuf   []streamItem
+
+	mapTab [isa.NumRegs]regfile.PhysReg
+	fq     [fetchQueueCap]fqEntry
 }
 
 // newContext allocates a context's active list, store queue and

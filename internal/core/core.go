@@ -74,6 +74,15 @@ type Core struct {
 	parts []*Partition
 	progs []*loadedProgram
 
+	// live lists the contexts whose state is live (active, draining or
+	// retiring) in context order: the only ones the fetch and rename
+	// orderings consider.  setState marks it dirty on a change of
+	// liveness and liveContexts rebuilds it on the next read, so the
+	// per-cycle orderings walk the few live contexts instead of all of
+	// them.  Its capacity is the context count, fixed at allocation.
+	live      []*Context
+	liveDirty bool
+
 	// In-flight executions awaiting completion, filed on a completion
 	// wheel keyed by the cycle their result arrives.  Deletion is lazy:
 	// squashes leave stale items behind, and complete() revalidates
@@ -84,13 +93,15 @@ type Core struct {
 	// not arrived yet (second issue phase).
 	pendingSt []*alist.Entry
 
-	rrCommit int // round-robin pointer for commit bandwidth
+	rrCommit int // round-robin commit pointer: a context index, wrapped (no per-step modulo)
 
 	// Per-cycle scratch buffers, reused so the steady-state cycle loop
 	// does not allocate: due collects the completions drained from the
-	// wheel; cands holds the fetch/rename thread orderings.
-	due   []*alist.Entry
-	cands []ctxCand
+	// wheel; cands holds the fetch/rename thread orderings; merges holds
+	// the merge points visible to the thread being fetched.
+	due    []*alist.Entry
+	cands  []ctxCand
+	merges []mergeTarget
 
 	// invariantEvery, when non-zero, runs CheckInvariants every N
 	// cycles (resolved from Features.InvariantEvery or the
@@ -172,6 +183,8 @@ func allocCore(mach config.Machine) *Core {
 		pendingSt: make([]*alist.Entry, 0, mach.Contexts*4),
 		due:       make([]*alist.Entry, 0, 64),
 		cands:     make([]ctxCand, 0, mach.Contexts),
+		merges:    make([]mergeTarget, 0, mach.Contexts),
+		live:      make([]*Context, 0, mach.Contexts),
 		Stats:     &stats.Sim{},
 		Obs:       &obs.Metrics{},
 	}
@@ -220,6 +233,9 @@ func (c *Core) reset(feat config.Features, progs []*program.Program, seeds []*Ar
 		pendingSt: c.pendingSt[:0],
 		due:       c.due[:0],
 		cands:     c.cands[:0],
+		merges:    c.merges[:0],
+		live:      c.live[:0],
+		liveDirty: true,
 		Stats:     c.Stats,
 		Obs:       c.Obs,
 	}
@@ -289,7 +305,7 @@ func (c *Core) reset(feat config.Features, progs []*program.Program, seeds []*Ar
 // regs is non-nil (a seeded mid-program start), else the fresh-start
 // state of all zeros with the stack pointer at its base.
 func (c *Core) startPrimary(t *Context, pc uint64, regs *[isa.NumRegs]uint64) {
-	t.state = CtxActive
+	c.setState(t, CtxActive)
 	t.isPrimary = true
 	t.fetchPC = pc
 	t.hasMap = true
@@ -308,6 +324,31 @@ func (c *Core) startPrimary(t *Context, pc uint64, regs *[isa.NumRegs]uint64) {
 		c.rf.SetValue(r, v)
 		t.mapTab[l] = r
 	}
+}
+
+// setState moves t to state s.  Every context state change goes
+// through here so the live-context list stays exact.
+func (c *Core) setState(t *Context, s CtxState) {
+	if t.state.live() != s.live() {
+		c.liveDirty = true
+	}
+	t.state = s
+}
+
+// liveContexts returns the live contexts in context order, rebuilding
+// the list if a state change dirtied it.  The result is the core's own
+// storage, valid until the next state change.
+func (c *Core) liveContexts() []*Context {
+	if c.liveDirty {
+		c.live = c.live[:0]
+		for _, t := range c.ctxs {
+			if t.state.live() {
+				c.live = append(c.live, t)
+			}
+		}
+		c.liveDirty = false
+	}
+	return c.live
 }
 
 // Cycle advances the machine one clock.  Stage order is reverse
@@ -400,7 +441,7 @@ func (c *Core) tagAddr(progIdx int, addr uint64) uint64 {
 
 // entrySources returns the physical source registers for inst renamed
 // in context t.
-func (t *Context) entrySources(inst isa.Inst) (s1, s2 regfile.PhysReg) {
+func (t *Context) entrySources(inst *isa.Inst) (s1, s2 regfile.PhysReg) {
 	s1, s2 = regfile.NoReg, regfile.NoReg
 	switch inst.Op {
 	case isa.OpNop, isa.OpHalt, isa.OpLi, isa.OpJ, isa.OpJal:
@@ -443,12 +484,12 @@ func (c *Core) undoEntry(t *Context, e *alist.Entry) {
 // left alone: its items are revalidated against the live active list
 // when their slot drains, so squashed entries simply fall out then.
 func (c *Core) removeFromBack(ctx int, fromSeq uint64) {
-	match := func(e *alist.Entry) bool { return e.Ctx == ctx && e.Seq >= fromSeq }
-	c.iqInt.RemoveIf(match)
-	c.iqFP.RemoveIf(match)
+	match := func(ectx int, seq uint64) bool { return ectx == ctx && seq >= fromSeq }
+	c.iqInt.RemoveIf(match, nil)
+	c.iqFP.RemoveIf(match, nil)
 	ps := c.pendingSt[:0]
 	for _, e := range c.pendingSt {
-		if !match(e) {
+		if !match(e.Ctx, e.Seq) {
 			ps = append(ps, e)
 		}
 	}
@@ -554,7 +595,7 @@ func (c *Core) killContext(t *Context) {
 	t.fqClear()
 	t.sq.clear()
 	t.stream = nil
-	t.state = CtxIdle
+	c.setState(t, CtxIdle)
 	t.isPrimary = false
 	t.parentCtx = -1
 	t.fetchHalted = false

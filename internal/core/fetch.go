@@ -1,6 +1,7 @@
 package core
 
 import (
+	"recyclesim/internal/bpred"
 	"recyclesim/internal/config"
 	"recyclesim/internal/isa"
 	"recyclesim/internal/obs"
@@ -43,9 +44,15 @@ func (c *Core) fetch() {
 		if threads >= c.mach.FetchThreads || width <= 0 {
 			break
 		}
-		// Merge detection consumes no fetch slot.
-		if c.feat.Recycle && t.stream == nil && c.tryMerge(t, t.fetchPC) {
-			continue
+		// Merge detection consumes no fetch slot.  The merge points
+		// visible to t are gathered once per block: nothing fetch does
+		// before a merge changes them.
+		var targets []mergeTarget
+		if c.feat.Recycle && t.stream == nil {
+			targets = c.mergeTargets(t)
+			if c.tryMerge(t, targets, t.fetchPC) {
+				continue
+			}
 		}
 
 		threads++
@@ -73,7 +80,7 @@ func (c *Core) fetch() {
 			}
 			// Mid-block merge: "instructions are fetched up to the
 			// matching instruction, and recycling begins after it."
-			if c.feat.Recycle && t.stream == nil && n > 0 && c.tryMerge(t, pc) {
+			if n > 0 && len(targets) > 0 && c.tryMerge(t, targets, pc) {
 				merged = true
 				break
 			}
@@ -101,8 +108,6 @@ func (c *Core) fetch() {
 				c.pred.SpecUpdate(t.id, in, pc, pr)
 				fe := t.pushFetch(c.cycle, pc, in, readyAt)
 				fe.pred = pr
-				fe.predTaken = pr.Taken
-				fe.predTgt = pr.Target
 				n++
 				width--
 				if pr.Taken {
@@ -139,14 +144,15 @@ func (c *Core) fetch() {
 // pushFetch appends one decoded instruction to the context's fetch
 // queue; cycle stamps when it entered (the pipetrace fetch stage).
 func (t *Context) pushFetch(cycle, pc uint64, in isa.Inst, readyAt uint64) *fqEntry {
+	// Field by field: a composite literal would be built on the stack
+	// and block-copied into the ring for every fetched instruction.
 	fe := t.fqPush()
-	*fe = fqEntry{
-		pc:         pc,
-		inst:       in,
-		fetchCycle: cycle,
-		readyAt:    readyAt,
-		postMerge:  t.stream != nil,
-	}
+	fe.pc = pc
+	fe.inst = in
+	fe.pred = bpred.Pred{}
+	fe.fetchCycle = cycle
+	fe.readyAt = readyAt
+	fe.postMerge = t.stream != nil
 	return fe
 }
 
@@ -176,19 +182,21 @@ func (c *Core) altPathCap(t *Context) {
 // fetchCandidates orders fetchable contexts: primary threads first by
 // ICOUNT, then alternates by ICOUNT — the TME-modified ICOUNT policy
 // of [18] referenced in §3.3.  The result lives in the core's reusable
-// candidate scratch (valid until the next ordering is built).
+// candidate scratch (valid until the next ordering is built).  Only
+// live contexts can fetch, so only they are considered.
 func (c *Core) fetchCandidates() []ctxCand {
 	cands := c.cands[:0]
+	live := c.liveContexts()
 	// Primaries first, then alternates, each segment in context order;
 	// the stable per-segment sort below preserves those ties.
 	nPrim := 0
-	for _, t := range c.ctxs {
+	for _, t := range live {
 		if t.isPrimary && c.canFetch(t) {
 			cands = append(cands, ctxCand{t: t})
 			nPrim++
 		}
 	}
-	for _, t := range c.ctxs {
+	for _, t := range live {
 		if !t.isPrimary && c.canFetch(t) {
 			cands = append(cands, ctxCand{t: t})
 		}
@@ -224,43 +232,59 @@ func (c *Core) canFetch(t *Context) bool {
 	return t.fqRoom() > 0
 }
 
-// tryMerge checks pc against the merge points visible to thread t and,
-// on a hit, snapshots the matched trace into a recycle stream.  Primary
-// threads see their spare contexts' first-PC points plus their own
-// first-PC and backward points; other fetching threads see only their
-// own backward point.
-func (c *Core) tryMerge(t *Context, pc uint64) bool {
+// mergeTarget is one merge point a fetching thread can hit: the trace
+// of src from seq on, entered when fetch reaches pc.
+type mergeTarget struct {
+	pc   uint64
+	seq  uint64
+	src  *Context
+	back bool
+}
+
+// mergeTargets lists the merge points visible to thread t, in match
+// priority order, into the core's reusable scratch (valid until the
+// next call).  Primary threads see their spare contexts' first-PC
+// points, then their own backward point; other fetching threads see
+// only their own backward point.
+func (c *Core) mergeTargets(t *Context) []mergeTarget {
+	out := c.merges[:0]
 	if t.part.done {
-		return false
+		return out
 	}
 	// Spare contexts' traces (alternate or inactive), primaries only.
 	if t.isPrimary {
 		for _, id := range t.part.ctxIDs {
 			src := c.ctxs[id]
-			if src == t {
+			if src == t || !src.mp.FirstValid {
 				continue
 			}
 			if src.state != CtxActive && src.state != CtxDraining && src.state != CtxInactive {
 				continue
 			}
-			if seq, back, ok := src.mp.Match(pc); ok && !back {
-				return c.startStream(t, src, seq, false)
-			}
+			out = append(out, mergeTarget{pc: src.mp.FirstPC, seq: src.mp.FirstSeq, src: src})
 		}
-		// The primary's own merge point: the backward-branch (loop)
-		// point.  (The paper also stores a first-instruction PC per
-		// context, but for a primary thread whose ring retains committed
-		// history that point would trigger pathological whole-window
-		// replays; the useful primary-to-primary case the paper reports
-		// is the backward-branch one, so that is what we match.)
-		if seq, back, ok := t.mp.Match(pc); ok && back {
-			return c.startStream(t, t, seq, true)
-		}
-		return false
 	}
-	// Non-primary fetching threads check their own backward point only.
-	if seq, back, ok := t.mp.Match(pc); ok && back {
-		return c.startStream(t, t, seq, true)
+	// The thread's own merge point: the backward-branch (loop) point.
+	// (The paper also stores a first-instruction PC per context, but
+	// for a primary thread whose ring retains committed history that
+	// point would trigger pathological whole-window replays; the useful
+	// primary-to-primary case the paper reports is the backward-branch
+	// one, so that is what we match.)  A first-PC point at the same PC
+	// takes precedence in MergePoints.Match and masks it.
+	if mp := &t.mp; mp.BackValid && !(mp.FirstValid && mp.FirstPC == mp.BackPC) {
+		out = append(out, mergeTarget{pc: mp.BackPC, seq: mp.BackSeq, src: t, back: true})
+	}
+	c.merges = out
+	return out
+}
+
+// tryMerge checks pc against targets (from mergeTargets) and, on a
+// hit, snapshots the matched trace into a recycle stream.
+func (c *Core) tryMerge(t *Context, targets []mergeTarget, pc uint64) bool {
+	for i := range targets {
+		if m := &targets[i]; m.pc == pc {
+			return c.startStream(t, m.src, m.seq, m.back)
+		}
 	}
 	return false
 }
@@ -395,8 +419,8 @@ func (c *Core) snapshotTrace(dst, src *Context, seq uint64) []streamItem {
 			it.traceTaken = e.TraceTaken()
 			if e.Executed {
 				it.traceTgt = e.NextPC
-			} else if e.PredTaken {
-				it.traceTgt = e.PredTarget
+			} else if e.Pred.Taken {
+				it.traceTgt = e.Pred.Target
 			} else {
 				it.traceTgt = e.PC + isa.InstBytes
 			}

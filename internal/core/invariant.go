@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"recyclesim/internal/alist"
@@ -47,6 +48,12 @@ var defaultInvariantEvery uint64 = 0
 //     the number of uncommitted reused entries naming it as source;
 //   - written-bit coherence: a clear bit promises an unchanged mapping
 //     (checked where the trace itself did not write the register);
+//   - scheduling caches: the live-context list, whenever it is marked
+//     clean, is exactly the live contexts in context order; every
+//     instruction-queue slot's cached ctx/seq/source tags equal its
+//     entry's (a store's data tag is not waited on); and no queued
+//     entry is cancelled (NoIssue) — a missed setState call or an entry
+//     mutated after dispatch shows up here;
 //   - telemetry conservation: the rename slot-cycle attribution sums to
 //     cycles × rename width with nothing charged to the null cause;
 //   - pipetrace stage-sequence legality (when a pipetrace recorder is
@@ -65,6 +72,7 @@ func (c *Core) CheckInvariants() *invariant.Report {
 	c.checkRegfile(r)
 	c.checkContexts(r)
 	c.checkQueues(r)
+	c.checkSched(r)
 	c.checkReuse(r)
 	c.checkWrittenBits(r)
 	c.checkTelemetry(r)
@@ -204,7 +212,7 @@ func (c *Core) checkContexts(r *invariant.Report) {
 func (c *Core) checkQueues(r *invariant.Report) {
 	inQueue := map[*alist.Entry]string{}
 	audit := func(name string, q *iq.Queue) {
-		q.Each(func(e *alist.Entry) {
+		q.Each(func(e *alist.Entry, _ int, _ uint64, _, _ regfile.PhysReg) {
 			if prev, dup := inQueue[e]; dup {
 				r.Failf("iq", "ctx=%d seq=%d queued twice (%s and %s)", e.Ctx, e.Seq, prev, name)
 			}
@@ -281,6 +289,48 @@ func (c *Core) checkQueues(r *invariant.Report) {
 			}
 		}
 	}
+}
+
+// checkSched verifies the caches the per-cycle scheduling trusts
+// instead of re-deriving: the live-context list and the instruction
+// queues' per-slot copies of each entry's ctx, seq and source tags.
+func (c *Core) checkSched(r *invariant.Report) {
+	if !c.liveDirty {
+		var want []*Context
+		for _, t := range c.ctxs {
+			if t.state.live() {
+				want = append(want, t)
+			}
+		}
+		if !slices.Equal(c.live, want) {
+			r.Failf("sched", "live-context list %v is marked clean but the live contexts are %v", ctxIDs(c.live), ctxIDs(want))
+		}
+	}
+	audit := func(name string, q *iq.Queue) {
+		q.Each(func(e *alist.Entry, ctx int, seq uint64, src1, src2 regfile.PhysReg) {
+			want2 := e.Src2
+			if e.Inst.IsStore() {
+				want2 = regfile.NoReg
+			}
+			if ctx != e.Ctx || seq != e.Seq || src1 != e.Src1 || src2 != want2 {
+				r.Failf("sched", "%s slot (ctx=%d seq=%d src=p%d,p%d) disagrees with its entry (ctx=%d seq=%d src=p%d,p%d)",
+					name, ctx, seq, src1, src2, e.Ctx, e.Seq, e.Src1, want2)
+			}
+			if e.NoIssue {
+				r.Failf("sched", "%s holds cancelled (NoIssue) entry ctx=%d seq=%d", name, e.Ctx, e.Seq)
+			}
+		})
+	}
+	audit("iqInt", c.iqInt)
+	audit("iqFP", c.iqFP)
+}
+
+func ctxIDs(ts []*Context) []int {
+	ids := make([]int, len(ts))
+	for i, t := range ts {
+		ids[i] = t.id
+	}
+	return ids
 }
 
 // checkReuse verifies outstanding-reuse conservation: each context's

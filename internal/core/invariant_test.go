@@ -6,7 +6,9 @@ import (
 
 	"recyclesim/internal/alist"
 	"recyclesim/internal/config"
+	"recyclesim/internal/iq"
 	"recyclesim/internal/program"
+	"recyclesim/internal/regfile"
 	"recyclesim/internal/workload"
 )
 
@@ -136,17 +138,72 @@ func TestInvariantDetectsCommitDrift(t *testing.T) {
 func TestInvariantDetectsQueueDrop(t *testing.T) {
 	c := invariantCore(t)
 	dropped := false
-	c.iqInt.RemoveIf(func(e *alist.Entry) bool {
+	c.iqInt.RemoveIf(func(int, uint64) bool {
 		if !dropped {
 			dropped = true
 			return true
 		}
 		return false
-	})
+	}, nil)
 	if !dropped {
 		t.Skip("integer queue empty after warm-up")
 	}
 	expectViolation(t, c, "iq")
+}
+
+// TestInvariantDetectsMissedSetState: a state change written around
+// setState leaves the clean live-context list stale; the sched rule
+// must flag it.
+func TestInvariantDetectsMissedSetState(t *testing.T) {
+	c := invariantCore(t)
+	c.liveContexts() // make sure the list is built and marked clean
+	var idle *Context
+	for _, ctx := range c.ctxs {
+		if ctx.state == CtxIdle {
+			idle = ctx
+			break
+		}
+	}
+	if idle == nil {
+		t.Skip("no idle context after warm-up")
+	}
+	idle.state = CtxActive
+	expectViolation(t, c, "sched")
+}
+
+// queuedEntry returns the oldest entry in either instruction queue.
+func queuedEntry(t *testing.T, c *Core) *alist.Entry {
+	t.Helper()
+	var first *alist.Entry
+	for _, q := range []*iq.Queue{c.iqInt, c.iqFP} {
+		q.Each(func(e *alist.Entry, _ int, _ uint64, _, _ regfile.PhysReg) {
+			if first == nil {
+				first = e
+			}
+		})
+	}
+	if first == nil {
+		t.Skip("instruction queues empty after warm-up")
+	}
+	return first
+}
+
+// TestInvariantDetectsMutatedQueuedEntry: the queues select on source
+// tags cached at dispatch, so an entry whose operands change after
+// dispatch would issue on stale tags; the sched rule must flag it.
+func TestInvariantDetectsMutatedQueuedEntry(t *testing.T) {
+	c := invariantCore(t)
+	e := queuedEntry(t, c)
+	e.Src1 = e.Src1 + 1
+	expectViolation(t, c, "sched")
+}
+
+// TestInvariantDetectsQueuedNoIssue: a cancelled entry must leave the
+// queues in the same step that cancels it.
+func TestInvariantDetectsQueuedNoIssue(t *testing.T) {
+	c := invariantCore(t)
+	queuedEntry(t, c).NoIssue = true
+	expectViolation(t, c, "sched")
 }
 
 // TestInvariantPanicsWithDump: the periodic in-Cycle check must panic

@@ -2,7 +2,6 @@ package core
 
 import (
 	"recyclesim/internal/alist"
-	"recyclesim/internal/iq"
 	"recyclesim/internal/isa"
 	"recyclesim/internal/obs"
 	"recyclesim/internal/regfile"
@@ -10,39 +9,33 @@ import (
 )
 
 // issue selects ready instructions from the queues oldest-first and
-// sends them to the functional units.  Execution is functional-at-issue
-// (the operand values are read and the result computed immediately);
-// the result is published to dependents at ReadyAt, modelling a full
-// bypass network, and branches take effect when they complete.
+// sends them to the functional units.  The queues test operand tags
+// against the register file's ready bits themselves, so only entries
+// whose operands are ready reach issueReady (a store waits on its
+// address register alone: two-phase issue).  Execution is
+// functional-at-issue (the operand values are read and the result
+// computed immediately); the result is published to dependents at
+// ReadyAt, modelling a full bypass network, and branches take effect
+// when they complete.
 func (c *Core) issue() {
-	c.issueQueue(c.iqInt)
-	c.issueQueue(c.iqFP)
+	ready := c.rf.ReadyBits()
+	c.iqInt.Select(ready, c.issueReady)
+	c.iqFP.Select(ready, c.issueReady)
 }
 
-func (c *Core) issueQueue(q *iq.Queue) {
-	q.Scan(func(e *alist.Entry) bool {
-		if e.NoIssue {
-			return true // cancelled by an alternate-path policy
-		}
-		in := e.Inst
-		// Stores issue on address readiness alone (two-phase issue);
-		// everything else needs all operands.
-		if !c.srcReady(e.Src1) {
-			return false
-		}
-		if !in.IsStore() && !c.srcReady(e.Src2) {
-			return false
-		}
-		t := c.ctxs[e.Ctx]
-		if in.IsLoad() && !c.loadMayIssue(t, e) {
-			return false
-		}
-		if !c.fus.TryIssue(in.Class(), in.Latency()) {
-			return false
-		}
-		c.execute(t, e)
-		return true
-	})
+// issueReady tries to issue one tag-ready entry; true means it issued
+// and leaves the queue.
+func (c *Core) issueReady(e *alist.Entry) bool {
+	in := &e.Inst
+	t := c.ctxs[e.Ctx]
+	if in.IsLoad() && !c.loadMayIssue(t, e) {
+		return false
+	}
+	if !c.fus.TryIssue(in.Class(), in.Latency()) {
+		return false
+	}
+	c.execute(t, e)
+	return true
 }
 
 func (c *Core) srcReady(r regfile.PhysReg) bool {
@@ -128,7 +121,7 @@ func (c *Core) loadValue(t *Context, seq uint64, addr uint64) (uint64, bool) {
 // execute computes an issued instruction functionally and schedules its
 // completion.
 func (c *Core) execute(t *Context, e *alist.Entry) {
-	in := e.Inst
+	in := &e.Inst
 	s1 := c.srcValue(e.Src1)
 	s2 := c.srcValue(e.Src2)
 	lat := in.Latency()
@@ -143,7 +136,7 @@ func (c *Core) execute(t *Context, e *alist.Entry) {
 
 	switch {
 	case in.IsLoad():
-		e.Addr = isa.EffAddr(in, s1)
+		e.Addr = isa.EffAddr(*in, s1)
 		v, forwarded := c.loadValue(t, e.Seq, e.Addr)
 		e.Result = v
 		if !forwarded {
@@ -153,7 +146,7 @@ func (c *Core) execute(t *Context, e *alist.Entry) {
 		// Phase one: address generation.  The MDB is invalidated here
 		// (as soon as the address is known) so no reuse can slip in
 		// between address generation and data arrival.
-		e.Addr = isa.EffAddr(in, s1)
+		e.Addr = isa.EffAddr(*in, s1)
 		if s := t.sq.find(e.Seq); s != nil {
 			s.addr = e.Addr &^ 7
 			s.addrOK = true
@@ -174,18 +167,18 @@ func (c *Core) execute(t *Context, e *alist.Entry) {
 		e.Result = s2
 		c.storeCaptureData(t, e)
 	case in.IsBranch():
-		e.Taken = isa.BranchTaken(in, s1, s2)
+		e.Taken = isa.BranchTaken(*in, s1, s2)
 		if e.Taken {
-			e.NextPC = isa.BranchTarget(in, s1)
+			e.NextPC = isa.BranchTarget(*in, s1)
 		} else {
 			e.NextPC = e.PC + isa.InstBytes
 		}
 		if in.WritesReg() {
-			e.Result = isa.Eval(in, e.PC, s1, s2)
+			e.Result = isa.Eval(*in, e.PC, s1, s2)
 		}
 		lat += redirectPenalty // register-read depth before resolution
 	default:
-		e.Result = isa.Eval(in, e.PC, s1, s2)
+		e.Result = isa.Eval(*in, e.PC, s1, s2)
 	}
 
 	e.ReadyAt = c.cycle + uint64(lat)
@@ -286,7 +279,7 @@ func dueLess(a, b *alist.Entry) bool {
 
 func (c *Core) completeEntry(t *Context, e *alist.Entry) {
 	e.Executed = true
-	in := e.Inst
+	in := &e.Inst
 	if c.ring != nil {
 		c.ring.Record(obs.Event{Cycle: c.cycle, Stage: obs.StageComplete,
 			Ctx: int16(e.Ctx), Seq: e.Seq, PC: e.PC, Arg: e.Result})

@@ -40,6 +40,10 @@ func (c *Core) rename() {
 	// Round 2: recycled instructions.  "When multiple threads want to
 	// recycle, a separate instruction counter is used to determine the
 	// priority of those threads for insertion into the rename stage."
+	// With every slot taken there is nothing to order.
+	if slots == 0 {
+		return
+	}
 	order = c.renameOrder(true)
 	for _, cand := range order {
 		t := cand.t
@@ -77,8 +81,9 @@ func (c *Core) rename() {
 // candidate scratch (valid until the next ordering is built).
 func (c *Core) renameOrder(recycleRound bool) []ctxCand {
 	out := c.cands[:0]
+	live := c.liveContexts()
 	eligible := func(t *Context) bool {
-		if t.state == CtxIdle || t.state == CtxRetiring || t.state == CtxInactive {
+		if t.state == CtxRetiring {
 			return false
 		}
 		if recycleRound {
@@ -90,13 +95,13 @@ func (c *Core) renameOrder(recycleRound bool) []ctxCand {
 	// keyed on (isPrimary, icount) is equivalent to collecting the two
 	// classes separately and stable-sorting each by icount.
 	nPrim := 0
-	for _, t := range c.ctxs {
+	for _, t := range live {
 		if t.isPrimary && eligible(t) {
 			out = append(out, ctxCand{t: t})
 			nPrim++
 		}
 	}
-	for _, t := range c.ctxs {
+	for _, t := range live {
 		if !t.isPrimary && eligible(t) {
 			out = append(out, ctxCand{t: t})
 		}
@@ -140,7 +145,7 @@ func (t *Context) popFetched() {
 // allocEntry performs the structural work shared by fetched and
 // recycled rename: active-list slot, physical register, sources, and
 // merge-point bookkeeping.  It returns nil when the thread must stall.
-func (c *Core) allocEntry(t *Context, pc uint64, in isa.Inst) *alist.Entry {
+func (c *Core) allocEntry(t *Context, pc uint64, in *isa.Inst) *alist.Entry {
 	// Reserve queue space before allocating anything.
 	needsIQ := in.Class() != isa.ClassNop && !in.IsHalt() && in.Op != isa.OpJ
 	if needsIQ {
@@ -188,7 +193,7 @@ func (c *Core) allocEntry(t *Context, pc uint64, in isa.Inst) *alist.Entry {
 	}
 	e.Ctx = t.id
 	e.PC = pc
-	e.Inst = in
+	e.Inst = *in
 	e.ReuseSrc = -1
 	e.AltCtx = -1
 	e.Src1, e.Src2 = t.entrySources(in)
@@ -220,7 +225,7 @@ func (c *Core) allocEntry(t *Context, pc uint64, in isa.Inst) *alist.Entry {
 // dispatch sends a renamed entry to its instruction queue (or marks it
 // immediately executed when it needs no execution).
 func (c *Core) dispatch(t *Context, e *alist.Entry) {
-	in := e.Inst
+	in := &e.Inst
 	switch {
 	case in.IsHalt(), in.Class() == isa.ClassNop, in.Op == isa.OpJ:
 		// No execution required; direct jumps were fully resolved at
@@ -255,13 +260,11 @@ func (c *Core) dispatch(t *Context, e *alist.Entry) {
 
 // renameFetched renames one fetched instruction; false means stall.
 func (c *Core) renameFetched(t *Context, fe *fqEntry) bool {
-	e := c.allocEntry(t, fe.pc, fe.inst)
+	e := c.allocEntry(t, fe.pc, &fe.inst)
 	if e == nil {
 		return false
 	}
 	e.Pred = fe.pred
-	e.PredTaken = fe.predTaken
-	e.PredTarget = fe.predTgt
 	if c.ptrace != nil {
 		e.Trace = c.ptrace.OnRename(c.cycle, t.id, e.Seq, e.PC, e.Inst, fe.fetchCycle, false)
 	}
@@ -306,14 +309,12 @@ func (c *Core) markWritten(t *Context, e *alist.Entry, reuseSrc int) {
 func (c *Core) renameRecycled(t *Context, it *streamItem) (proceed, stall bool) {
 	st := t.stream
 
-	e := c.allocEntry(t, it.pc, it.inst)
+	e := c.allocEntry(t, it.pc, &it.inst)
 	if e == nil {
 		return true, true
 	}
 	e.Recycled = true
 	e.Pred = it.pred
-	e.PredTaken = it.pred.Taken
-	e.PredTarget = it.pred.Target
 	if c.ptrace != nil {
 		e.Trace = c.ptrace.OnRename(c.cycle, t.id, e.Seq, e.PC, e.Inst, 0, true)
 	}
@@ -357,7 +358,7 @@ func (c *Core) tryReuse(t *Context, e *alist.Entry, srcCtx int, it *streamItem) 
 	if !ok || se.PC != it.pc || !se.Executed || se.NoIssue {
 		return false
 	}
-	in := e.Inst
+	in := &e.Inst
 	if in.IsStore() {
 		return false // stores must re-enter the store queue
 	}
@@ -366,7 +367,7 @@ func (c *Core) tryReuse(t *Context, e *alist.Entry, srcCtx int, it *streamItem) 
 	// outcome agrees with the prediction the stream assigned it (the
 	// stream's final, truncated branch disagrees by construction and
 	// must execute to trigger recovery).
-	if in.IsBranch() && (se.Taken != e.PredTaken || (se.Taken && se.NextPC != e.PredTarget)) {
+	if in.IsBranch() && (se.Taken != e.Pred.Taken || (se.Taken && se.NextPC != e.Pred.Target)) {
 		return false
 	}
 	srcs, n := in.SrcRegs()

@@ -15,7 +15,7 @@ import (
 // points."
 func (c *Core) tryFork(t *Context, e *alist.Entry) {
 	altPC := e.Inst.Target
-	if e.PredTaken {
+	if e.Pred.Taken {
 		altPC = e.PC + isa.InstBytes
 	}
 
@@ -114,7 +114,7 @@ func (c *Core) allocSpare(t *Context) *Context {
 // in primary t.  stream, when non-nil, re-spawns the context through
 // the recycle datapath instead of fetching.
 func (c *Core) activateAlternate(t *Context, e *alist.Entry, a *Context, altPC uint64, stream *recycleStream) {
-	a.state = CtxActive
+	c.setState(a, CtxActive)
 	a.isPrimary = false
 	a.parentCtx = t.id
 	a.parentSeq = e.Seq
@@ -143,7 +143,7 @@ func (c *Core) activateAlternate(t *Context, e *alist.Entry, a *Context, altPC u
 	// branch's opposite direction shifted into the history.
 	c.pred.CopyContext(a.id, t.id)
 	hist := e.Pred.GHist<<1 | 1
-	if e.PredTaken {
+	if e.Pred.Taken {
 		hist = e.Pred.GHist << 1
 	}
 	c.pred.ForceHist(a.id, hist&0x7FF)
@@ -217,10 +217,10 @@ func (c *Core) reclaimForRegs() {
 // recovery, TME promotion, and the transition of alternates to
 // inactive.
 func (c *Core) resolveBranch(t *Context, e *alist.Entry) {
-	in := e.Inst
-	correct := e.Taken == e.PredTaken && (!e.Taken || e.NextPC == e.PredTarget)
+	in := &e.Inst
+	correct := e.Taken == e.Pred.Taken && (!e.Taken || e.NextPC == e.Pred.Target)
 	if in.IsCondBranch() {
-		correct = e.Taken == e.PredTaken
+		correct = e.Taken == e.Pred.Taken
 		if t.isPrimary {
 			c.Stats.CondBranches++
 			if !correct {
@@ -262,7 +262,7 @@ func (c *Core) resolveBranch(t *Context, e *alist.Entry) {
 	if !correct {
 		// Conventional misprediction recovery within this context.
 		c.squashFrom(t.id, e.Seq+1)
-		c.pred.Restore(t.id, in, e.Pred, e.Taken)
+		c.pred.Restore(t.id, *in, e.Pred, e.Taken)
 		t.fetchPC = e.NextPC
 		t.fetchStallUntil = c.cycle + redirectPenalty
 		t.fetchHalted = false
@@ -278,7 +278,7 @@ func (c *Core) resolveBranch(t *Context, e *alist.Entry) {
 			// wrong-path fork (just squashed, killing the promoted
 			// thread), so this context is the correct path again and
 			// resumes as the primary.
-			t.state = CtxActive
+			c.setState(t, CtxActive)
 			t.isPrimary = true
 			t.part.primary = t.id
 			c.written.SetAll(t.part.mask)
@@ -305,13 +305,13 @@ func (c *Core) resolveAlternate(a *Context) {
 		if a.pathLen >= c.feat.AltLimit || a.altCapped || a.fetchHalted {
 			c.makeInactive(a)
 		} else {
-			a.state = CtxDraining
+			c.setState(a, CtxDraining)
 		}
 	case config.AltNoStop:
 		if a.pathLen >= c.feat.AltLimit || a.altCapped || a.fetchHalted {
 			c.makeInactive(a)
 		} else {
-			a.state = CtxDraining
+			c.setState(a, CtxDraining)
 		}
 	}
 }
@@ -320,15 +320,12 @@ func (c *Core) resolveAlternate(a *Context) {
 // queues; they remain in the active list as recyclable (never-executed)
 // trace entries.
 func (c *Core) cancelIssue(a *Context) {
-	match := func(e *alist.Entry) bool {
-		if e.Ctx != a.id || e.Issued {
-			return false
-		}
-		e.NoIssue = true
-		return true
-	}
-	c.iqInt.RemoveIf(match)
-	c.iqFP.RemoveIf(match)
+	// Queued entries are un-issued by construction (issue removes
+	// them), so every queued entry of a is cancelled.
+	match := func(ctx int, _ uint64) bool { return ctx == a.id }
+	cancel := func(e *alist.Entry) { e.NoIssue = true }
+	c.iqInt.RemoveIf(match, cancel)
+	c.iqFP.RemoveIf(match, cancel)
 	// Never-issuing stores must not block loads; drop their queue slots.
 	a.sq.compact(func(s *sqEntry) bool {
 		if s.addrOK {
@@ -346,7 +343,7 @@ func (c *Core) makeInactive(a *Context) {
 	if a.state == CtxInactive {
 		return
 	}
-	a.state = CtxInactive
+	c.setState(a, CtxInactive)
 	a.lruTick = c.cycle
 	a.fqClear()
 	a.stream = nil
@@ -367,7 +364,7 @@ func (c *Core) promote(t *Context, e *alist.Entry, a *Context) {
 	c.squashFrom(t.id, e.Seq+1)
 
 	t.isPrimary = false
-	t.state = CtxRetiring
+	c.setState(t, CtxRetiring)
 	t.fetchHalted = true
 	c.finishPath(t) // no-op unless t itself was once an alternate
 
@@ -375,7 +372,7 @@ func (c *Core) promote(t *Context, e *alist.Entry, a *Context) {
 	a.altCapped = false
 	a.resolved = true
 	if a.state == CtxDraining || a.state == CtxInactive {
-		a.state = CtxActive
+		c.setState(a, CtxActive)
 	}
 	a.path.usedTME = true
 	c.finishPath(a)

@@ -8,12 +8,25 @@ package iq
 import (
 	"recyclesim/internal/alist"
 	"recyclesim/internal/isa"
+	"recyclesim/internal/regfile"
 )
+
+// slot is one queued entry with the fields selection and squash read
+// copied out at dispatch: the operand tags, the owning context and the
+// sequence number.  Select walks these compact slots and dereferences
+// the (large, scattered) active-list entry only for instructions whose
+// operands are ready.
+type slot struct {
+	e          *alist.Entry
+	seq        uint64
+	src1, src2 regfile.PhysReg // NoReg when the operand is not waited on
+	ctx        int32
+}
 
 // Queue is one instruction queue.
 type Queue struct {
-	cap  int
-	ents []*alist.Entry
+	cap   int
+	slots []slot
 
 	// counts caches per-context occupancy so the ICOUNT fetch and
 	// rename priority policies read it in O(1) instead of scanning the
@@ -23,7 +36,7 @@ type Queue struct {
 
 // New returns an empty queue with the given capacity.
 func New(capacity int) *Queue {
-	return &Queue{cap: capacity, ents: make([]*alist.Entry, 0, capacity)}
+	return &Queue{cap: capacity, slots: make([]slot, 0, capacity)}
 }
 
 func (q *Queue) bump(ctx, delta int) {
@@ -35,8 +48,8 @@ func (q *Queue) bump(ctx, delta int) {
 
 // Reset empties the queue without releasing its storage.
 func (q *Queue) Reset() {
-	clear(q.ents)
-	q.ents = q.ents[:0]
+	clear(q.slots)
+	q.slots = q.slots[:0]
 	q.counts = q.counts[:0]
 }
 
@@ -44,58 +57,95 @@ func (q *Queue) Reset() {
 func (q *Queue) Capacity() int { return q.cap }
 
 // Len returns the current occupancy.
-func (q *Queue) Len() int { return len(q.ents) }
+func (q *Queue) Len() int { return len(q.slots) }
 
 // Full reports whether dispatch must stall.
-func (q *Queue) Full() bool { return len(q.ents) >= q.cap }
+func (q *Queue) Full() bool { return len(q.slots) >= q.cap }
 
-// Push inserts a dispatched entry; it reports false when full.
+// Push inserts a dispatched entry; it reports false when full.  The
+// entry's context, sequence number and source tags are copied into the
+// slot here, so they must not change while the entry is queued.  A
+// store waits only on its address register (Src1): it issues on
+// address readiness alone and captures its data later.
 func (q *Queue) Push(e *alist.Entry) bool {
 	if q.Full() {
 		return false
 	}
-	q.ents = append(q.ents, e)
+	src2 := e.Src2
+	if e.Inst.IsStore() {
+		src2 = regfile.NoReg
+	}
+	// Filled in place: a slot literal would be assembled on the stack
+	// and block-copied into the queue on every dispatch.
+	n := len(q.slots)
+	q.slots = q.slots[:n+1] // New sized the storage to the capacity
+	s := &q.slots[n]
+	s.e, s.seq, s.src1, s.src2, s.ctx = e, e.Seq, e.Src1, src2, int32(e.Ctx)
 	q.bump(e.Ctx, 1)
 	return true
 }
 
-// Scan visits entries oldest-first.  The visitor returns true to
-// remove the entry (it issued or was cancelled).  Scan preserves the
-// relative order of retained entries.
-func (q *Queue) Scan(visit func(e *alist.Entry) (remove bool)) {
-	out := q.ents[:0]
-	for _, e := range q.ents {
-		if !visit(e) {
-			out = append(out, e)
-		} else {
-			q.bump(e.Ctx, -1)
+// Select visits, oldest-first, the entries whose source tags are ready
+// in ready (indexed by physical register; NoReg counts as ready).  The
+// visitor returns true to remove the entry (it issued).  Entries still
+// waiting on an operand are skipped without touching their active-list
+// record.  Select preserves the relative order of retained entries.
+func (q *Queue) Select(ready []bool, visit func(e *alist.Entry) (remove bool)) {
+	w := 0
+	for i := range q.slots {
+		s := &q.slots[i]
+		if (s.src1 == regfile.NoReg || ready[s.src1]) &&
+			(s.src2 == regfile.NoReg || ready[s.src2]) && visit(s.e) {
+			q.counts[s.ctx]--
+			continue
 		}
+		if w != i {
+			q.slots[w] = *s
+		}
+		w++
 	}
-	// Clear the tail so removed entries don't pin memory.
-	for i := len(out); i < len(q.ents); i++ {
-		q.ents[i] = nil
-	}
-	q.ents = out
+	q.truncate(w)
 }
 
-// RemoveIf deletes all entries matching the predicate (squash support).
-func (q *Queue) RemoveIf(match func(e *alist.Entry) bool) int {
-	removed := 0
-	q.Scan(func(e *alist.Entry) bool {
-		if match(e) {
-			removed++
-			return true
+// RemoveIf deletes every entry whose (ctx, seq) matches; removed, when
+// non-nil, sees each deleted entry.  It reports how many were deleted.
+// Squash and issue cancellation use it; matching on the slot's cached
+// fields keeps the sweep inside the queue's own storage.
+func (q *Queue) RemoveIf(match func(ctx int, seq uint64) bool, removed func(e *alist.Entry)) int {
+	w := 0
+	for i := range q.slots {
+		s := &q.slots[i]
+		if match(int(s.ctx), s.seq) {
+			q.counts[s.ctx]--
+			if removed != nil {
+				removed(s.e)
+			}
+			continue
 		}
-		return false
-	})
-	return removed
+		if w != i {
+			q.slots[w] = *s
+		}
+		w++
+	}
+	n := len(q.slots) - w
+	q.truncate(w)
+	return n
 }
 
-// Each visits every queued entry oldest-first without removing any;
-// the runtime invariant checker uses it to audit queue membership.
-func (q *Queue) Each(visit func(e *alist.Entry)) {
-	for _, e := range q.ents {
-		visit(e)
+// truncate drops the slots from n on, clearing them so removed entries
+// don't pin memory.
+func (q *Queue) truncate(n int) {
+	clear(q.slots[n:])
+	q.slots = q.slots[:n]
+}
+
+// Each visits every queued entry oldest-first with the tags its slot
+// cached at dispatch, without removing any; the runtime invariant
+// checker uses it to audit queue membership and slot coherence.
+func (q *Queue) Each(visit func(e *alist.Entry, ctx int, seq uint64, src1, src2 regfile.PhysReg)) {
+	for i := range q.slots {
+		s := &q.slots[i]
+		visit(s.e, int(s.ctx), s.seq, s.src1, s.src2)
 	}
 }
 

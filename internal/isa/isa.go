@@ -171,13 +171,7 @@ func (i Inst) IsBranch() bool { return i.Class() == ClassBranch }
 
 // IsCondBranch reports whether the instruction is a conditional branch
 // (the only kind TME forks on).
-func (i Inst) IsCondBranch() bool {
-	switch i.Op {
-	case OpBeq, OpBne, OpBlt, OpBge, OpBltu, OpBgeu:
-		return true
-	}
-	return false
-}
+func (i Inst) IsCondBranch() bool { return opFlags[i.Op]&flagCondBranch != 0 }
 
 // IsIndirect reports whether the control transfer target comes from a
 // register rather than the instruction encoding.
@@ -206,16 +200,7 @@ func (i Inst) IsHalt() bool { return i.Op == OpHalt }
 // Writes to the hardwired zero register are discarded but still rename
 // (they allocate and immediately deadlock nothing; the assembler never
 // emits them, and the core treats Rd==RegZero as no destination).
-func (i Inst) WritesReg() bool {
-	switch i.Op {
-	case OpNop, OpHalt, OpSt, OpFst, OpBeq, OpBne, OpBlt, OpBge,
-		OpBltu, OpBgeu, OpJ, OpJr:
-		return false
-	case OpJal:
-		return i.Rd != RegZero
-	}
-	return i.Rd != RegZero
-}
+func (i Inst) WritesReg() bool { return opFlags[i.Op]&flagNoDest == 0 && i.Rd != RegZero }
 
 // SrcRegs returns the logical source registers read by the instruction.
 // A register appears at most once even if read twice; RegZero is
@@ -249,14 +234,43 @@ func (i Inst) SrcRegs() (srcs [2]Reg, n int) {
 }
 
 // ReadsRs2 reports whether Rs2 is a live source operand.
-func (i Inst) ReadsRs2() bool {
-	switch i.Op {
-	case OpAdd, OpSub, OpMul, OpDiv, OpRem, OpAnd, OpOr, OpXor,
+func (i Inst) ReadsRs2() bool { return opFlags[i.Op]&flagReadsRs2 != 0 }
+
+// The opcode lists behind the per-opcode predicates.  They are the
+// definition; opFlags folds them into one table lookup for the
+// simulator's per-instruction hot paths.
+var (
+	condBranchOps = []Op{OpBeq, OpBne, OpBlt, OpBge, OpBltu, OpBgeu}
+	noDestOps     = []Op{OpNop, OpHalt, OpSt, OpFst, OpBeq, OpBne, OpBlt, OpBge,
+		OpBltu, OpBgeu, OpJ, OpJr}
+	readsRs2Ops = []Op{OpAdd, OpSub, OpMul, OpDiv, OpRem, OpAnd, OpOr, OpXor,
 		OpSll, OpSrl, OpSra, OpSlt, OpSltu,
 		OpSt, OpFst,
 		OpBeq, OpBne, OpBlt, OpBge, OpBltu, OpBgeu,
-		OpFadd, OpFsub, OpFmul, OpFdiv, OpFlt, OpFeq:
-		return true
+		OpFadd, OpFsub, OpFmul, OpFdiv, OpFlt, OpFeq}
+)
+
+// Per-opcode predicate flags.
+const (
+	flagCondBranch uint8 = 1 << iota
+	flagNoDest
+	flagReadsRs2
+)
+
+var opFlags = buildOpFlags()
+
+func buildOpFlags() (t [256]uint8) {
+	for _, l := range []struct {
+		ops  []Op
+		flag uint8
+	}{
+		{condBranchOps, flagCondBranch},
+		{noDestOps, flagNoDest},
+		{readsRs2Ops, flagReadsRs2},
+	} {
+		for _, op := range l.ops {
+			t[op] |= l.flag
+		}
 	}
-	return false
+	return t
 }

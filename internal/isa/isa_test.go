@@ -250,3 +250,46 @@ func TestRegName(t *testing.T) {
 		t.Errorf("RegName(f2) = %s", RegName(FPBase+2))
 	}
 }
+
+// TestOpFlagsMatchOpLists checks the table-driven predicates against
+// the explicit opcode lists they are built from, for every opcode (and
+// every byte value, so an out-of-range Op stays flag-free), with and
+// without a zero destination.
+func TestOpFlagsMatchOpLists(t *testing.T) {
+	in := func(ops []Op, op Op) bool {
+		for _, o := range ops {
+			if o == op {
+				return true
+			}
+		}
+		return false
+	}
+	for v := 0; v < 256; v++ {
+		op := Op(v)
+		for _, rd := range []Reg{RegZero, 5} {
+			i := Inst{Op: op, Rd: rd}
+			if got, want := i.IsCondBranch(), in(condBranchOps, op); got != want {
+				t.Errorf("op %d IsCondBranch=%v want %v", v, got, want)
+			}
+			if got, want := i.ReadsRs2(), in(readsRs2Ops, op); got != want {
+				t.Errorf("op %d ReadsRs2=%v want %v", v, got, want)
+			}
+			if got, want := i.WritesReg(), !in(noDestOps, op) && rd != RegZero; got != want {
+				t.Errorf("op %d rd=%d WritesReg=%v want %v", v, rd, got, want)
+			}
+		}
+	}
+	// The lists agree with the class table where the two overlap.
+	for op := Op(0); op < numOps; op++ {
+		i := Inst{Op: op}
+		if i.IsCondBranch() && !i.IsBranch() {
+			t.Errorf("op %v is a conditional branch outside ClassBranch", op)
+		}
+		if (i.IsStore() || i.IsCondBranch()) && !i.ReadsRs2() {
+			t.Errorf("op %v compares or stores Rs2 but is not listed as reading it", op)
+		}
+		if (i.IsStore() || i.IsCondBranch() || i.IsHalt()) && !in(noDestOps, op) {
+			t.Errorf("op %v has no destination but is not listed in noDestOps", op)
+		}
+	}
+}

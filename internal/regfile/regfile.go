@@ -146,6 +146,11 @@ func (f *File) Value(r PhysReg) uint64 { return f.vals[r] }
 // Ready reports whether the register's value has been produced.
 func (f *File) Ready(r PhysReg) bool { return f.ready[r] }
 
+// ReadyBits exposes the ready bits, indexed by register, for consumers
+// that test many tags per cycle (instruction-queue select).  The slice
+// aliases the file's state: read it, never write it.
+func (f *File) ReadyBits() []bool { return f.ready }
+
 // CheckConservation verifies that every register is either free or
 // referenced, and none is both; tests call this after stress runs.
 func (f *File) CheckConservation() error {
