@@ -14,7 +14,8 @@
 #                    host timing (not part of check; CI runs it)
 #   make fuzz        10s coverage-guided smoke of each fuzz target
 #                    (assembler, config validation, store record and
-#                    checkpoint decoding), seeded from the checked-in
+#                    checkpoint decoding, paged data memory against a
+#                    map reference), seeded from the checked-in
 #                    corpora under testdata/fuzz
 #   make smoke       one short instrumented run through both telemetry
 #                    exporters (-metrics / -metrics-text), output discarded
@@ -67,6 +68,7 @@ fuzz:
 	$(GO) test ./internal/config/ -fuzz FuzzFeaturesValidate -fuzztime 10s
 	$(GO) test ./internal/store/ -fuzz FuzzStoreDecode -fuzztime 10s
 	$(GO) test ./internal/sample/ -fuzz FuzzCheckpointDecode -fuzztime 10s
+	$(GO) test ./internal/program/ -fuzz FuzzMemory -fuzztime 10s
 
 smoke:
 	$(GO) run ./cmd/recyclesim -workloads compress -insts 20000 -flightrec 256 -metrics - >/dev/null

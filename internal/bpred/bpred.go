@@ -8,7 +8,12 @@
 // 12-entry return stack per context.
 package bpred
 
-import "recyclesim/internal/isa"
+import (
+	"fmt"
+	"math/bits"
+
+	"recyclesim/internal/isa"
+)
 
 // Config sizes the predictor structures.
 type Config struct {
@@ -42,28 +47,48 @@ type btbEntry struct {
 // Predictor is the shared branch prediction unit.  PHT and BTB are
 // shared between contexts; the global history register and the return
 // stack are private to each context, as in SMT designs of the era.
+// The PHT size and the BTB set count are powers of two (New checks),
+// so table indexing is by mask and shift.  Lookup, SpecUpdate, Restore
+// and Commit take the instruction by pointer and only read it, so
+// callers pass it in place (from the program text, a fetch-queue or an
+// active-list entry) instead of copying it per call.
 type Predictor struct {
-	cfg      Config
-	pht      []uint8 // 2-bit saturating counters
-	btb      []btbEntry
-	btbSets  int
-	lruClock uint64
+	cfg         Config
+	pht         []uint8 // 2-bit saturating counters
+	phtMask     uint64  // PHTEntries-1
+	btb         []btbEntry
+	btbSetMask  uint64 // BTB sets-1: instruction index to set
+	btbSetShift uint   // log2(BTB sets): instruction index to tag
+	lruClock    uint64
 
 	hist   []uint64   // per-context global history
 	ras    [][]uint64 // per-context return stacks
 	rasTop []int      // per-context stack pointer (index of next push)
 }
 
-// New builds a predictor with weakly-taken counters.
+// New builds a predictor with weakly-taken counters.  It panics when
+// the PHT size or the BTB set count (BTBEntries/BTBAssoc) is not a
+// power of two, since configurations are static and a bad one is a
+// programming error.
 func New(cfg Config) *Predictor {
+	if cfg.BTBAssoc <= 0 {
+		panic(fmt.Sprintf("bpred: bad geometry: BTB associativity %d", cfg.BTBAssoc))
+	}
+	btbSets := cfg.BTBEntries / cfg.BTBAssoc
+	if !isPow2(cfg.PHTEntries) || !isPow2(btbSets) {
+		panic(fmt.Sprintf("bpred: bad geometry: PHT entries %d and BTB sets %d must be powers of two",
+			cfg.PHTEntries, btbSets))
+	}
 	p := &Predictor{
-		cfg:     cfg,
-		pht:     make([]uint8, cfg.PHTEntries),
-		btb:     make([]btbEntry, cfg.BTBEntries),
-		btbSets: cfg.BTBEntries / cfg.BTBAssoc,
-		hist:    make([]uint64, cfg.Contexts),
-		ras:     make([][]uint64, cfg.Contexts),
-		rasTop:  make([]int, cfg.Contexts),
+		cfg:         cfg,
+		pht:         make([]uint8, cfg.PHTEntries),
+		phtMask:     uint64(cfg.PHTEntries - 1),
+		btb:         make([]btbEntry, cfg.BTBEntries),
+		btbSetMask:  uint64(btbSets - 1),
+		btbSetShift: uint(bits.TrailingZeros(uint(btbSets))),
+		hist:        make([]uint64, cfg.Contexts),
+		ras:         make([][]uint64, cfg.Contexts),
+		rasTop:      make([]int, cfg.Contexts),
 	}
 	for i := range p.pht {
 		p.pht[i] = 1 // weakly not-taken
@@ -118,8 +143,16 @@ type Pred struct {
 	BTBMiss bool // indirect jump found no BTB entry (fell through)
 }
 
+func isPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
+
 func (p *Predictor) phtIndex(pc, hist uint64) int {
-	return int((pc/isa.InstBytes ^ hist) % uint64(len(p.pht)))
+	return int((pc/isa.InstBytes ^ hist) & p.phtMask)
+}
+
+// btbSet returns the first slot of pc's BTB set and pc's tag.
+func (p *Predictor) btbSet(pc uint64) (base int, tag uint64) {
+	idx := pc / isa.InstBytes
+	return int(idx&p.btbSetMask) * p.cfg.BTBAssoc, idx >> p.btbSetShift
 }
 
 // Lookup predicts the direction and target of a control transfer at pc
@@ -127,7 +160,7 @@ func (p *Predictor) phtIndex(pc, hist uint64) int {
 // simulator's instruction store plays the role of a perfect decoder);
 // indirect non-return jumps consult the BTB, returns consult the RAS.
 // Lookup does not change any predictor state.
-func (p *Predictor) Lookup(ctx int, pc uint64, in isa.Inst) Pred {
+func (p *Predictor) Lookup(ctx int, pc uint64, in *isa.Inst) Pred {
 	pr := Pred{GHist: p.hist[ctx], RASTop: p.rasTop[ctx]}
 	switch {
 	case in.IsCondBranch():
@@ -155,7 +188,7 @@ func (p *Predictor) Lookup(ctx int, pc uint64, in isa.Inst) Pred {
 // SpecUpdate applies the speculative effects of fetching a control
 // transfer: the predicted direction is shifted into the context's
 // global history and calls/returns adjust the return stack.
-func (p *Predictor) SpecUpdate(ctx int, in isa.Inst, pc uint64, pr Pred) {
+func (p *Predictor) SpecUpdate(ctx int, in *isa.Inst, pc uint64, pr Pred) {
 	if in.IsCondBranch() {
 		p.pushHist(ctx, pr.Taken)
 	}
@@ -181,7 +214,7 @@ func (p *Predictor) PushHist(ctx int, taken bool) { p.pushHist(ctx, taken) }
 // Restore rewinds a context's speculative history and return stack to
 // the recovery state captured with a mispredicted branch, then shifts
 // in the branch's true outcome when it was conditional.
-func (p *Predictor) Restore(ctx int, in isa.Inst, pr Pred, actualTaken bool) {
+func (p *Predictor) Restore(ctx int, in *isa.Inst, pr Pred, actualTaken bool) {
 	p.hist[ctx] = pr.GHist
 	p.rasTop[ctx] = pr.RASTop
 	if in.IsCondBranch() {
@@ -206,7 +239,7 @@ func (p *Predictor) CopyContext(dst, src int) {
 }
 
 // Commit trains the PHT and BTB with a resolved, committed branch.
-func (p *Predictor) Commit(pc uint64, in isa.Inst, pr Pred, taken bool, target uint64) {
+func (p *Predictor) Commit(pc uint64, in *isa.Inst, pr Pred, taken bool, target uint64) {
 	if in.IsCondBranch() {
 		idx := p.phtIndex(pc, pr.GHist)
 		if taken {
@@ -251,9 +284,7 @@ func (p *Predictor) rasPeek(ctx int) uint64 {
 }
 
 func (p *Predictor) btbLookup(pc uint64) (uint64, bool) {
-	set := int(pc / isa.InstBytes % uint64(p.btbSets))
-	tag := pc / isa.InstBytes / uint64(p.btbSets)
-	base := set * p.cfg.BTBAssoc
+	base, tag := p.btbSet(pc)
 	for w := 0; w < p.cfg.BTBAssoc; w++ {
 		e := &p.btb[base+w]
 		if e.valid && e.tag == tag {
@@ -266,9 +297,7 @@ func (p *Predictor) btbLookup(pc uint64) (uint64, bool) {
 }
 
 func (p *Predictor) btbInsert(pc, target uint64) {
-	set := int(pc / isa.InstBytes % uint64(p.btbSets))
-	tag := pc / isa.InstBytes / uint64(p.btbSets)
-	base := set * p.cfg.BTBAssoc
+	base, tag := p.btbSet(pc)
 	victim := base
 	for w := 0; w < p.cfg.BTBAssoc; w++ {
 		e := &p.btb[base+w]

@@ -1,6 +1,8 @@
 package bpred
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"recyclesim/internal/isa"
@@ -16,12 +18,12 @@ func TestPHTLearnsBias(t *testing.T) {
 	// ones after HistBits iterations, after which the same PHT entry
 	// trains repeatedly.
 	for i := 0; i < 40; i++ {
-		pr := p.Lookup(0, pc, in)
-		p.SpecUpdate(0, in, pc, pr)
-		p.Commit(pc, in, pr, true, 0x2000)
-		p.Restore(0, in, pr, true) // keep history consistent with outcome
+		pr := p.Lookup(0, pc, &in)
+		p.SpecUpdate(0, &in, pc, pr)
+		p.Commit(pc, &in, pr, true, 0x2000)
+		p.Restore(0, &in, pr, true) // keep history consistent with outcome
 	}
-	pr := p.Lookup(0, pc, in)
+	pr := p.Lookup(0, pc, &in)
 	if !pr.Taken {
 		t.Error("predictor failed to learn a strongly-taken branch")
 	}
@@ -39,13 +41,13 @@ func TestPHTAlternatingWithHistory(t *testing.T) {
 	correct := 0
 	taken := false
 	for i := 0; i < 200; i++ {
-		pr := p.Lookup(0, pc, in)
+		pr := p.Lookup(0, pc, &in)
 		if pr.Taken == taken && i > 100 {
 			correct++
 		}
-		p.SpecUpdate(0, in, pc, pr)
-		p.Restore(0, in, pr, taken)
-		p.Commit(pc, in, pr, taken, 0x2000)
+		p.SpecUpdate(0, &in, pc, pr)
+		p.Restore(0, &in, pr, taken)
+		p.Commit(pc, &in, pr, taken, 0x2000)
 		taken = !taken
 	}
 	if correct < 90 {
@@ -58,22 +60,22 @@ func TestRASPushPop(t *testing.T) {
 	call := isa.Inst{Op: isa.OpJal, Rd: isa.RegRA, Target: 0x3000}
 	ret := isa.Inst{Op: isa.OpJr, Rs1: isa.RegRA}
 
-	pr := p.Lookup(0, 0x1000, call)
-	p.SpecUpdate(0, call, 0x1000, pr)
-	pr = p.Lookup(0, 0x1100, call)
-	p.SpecUpdate(0, call, 0x1100, pr)
+	pr := p.Lookup(0, 0x1000, &call)
+	p.SpecUpdate(0, &call, 0x1000, pr)
+	pr = p.Lookup(0, 0x1100, &call)
+	p.SpecUpdate(0, &call, 0x1100, pr)
 
-	pr = p.Lookup(0, 0x3000, ret)
+	pr = p.Lookup(0, 0x3000, &ret)
 	if pr.Target != 0x1100+isa.InstBytes {
 		t.Errorf("return target = 0x%x, want 0x%x", pr.Target, 0x1100+isa.InstBytes)
 	}
-	p.SpecUpdate(0, ret, 0x3000, pr)
-	pr = p.Lookup(0, 0x3000, ret)
+	p.SpecUpdate(0, &ret, 0x3000, pr)
+	pr = p.Lookup(0, 0x3000, &ret)
 	if pr.Target != 0x1000+isa.InstBytes {
 		t.Errorf("second return target = 0x%x", pr.Target)
 	}
 	// Context 1's stack is independent.
-	pr = p.Lookup(1, 0x3000, ret)
+	pr = p.Lookup(1, 0x3000, &ret)
 	if pr.Target != 0 {
 		t.Errorf("context 1 should have an empty return stack, got 0x%x", pr.Target)
 	}
@@ -84,21 +86,21 @@ func TestRASRecovery(t *testing.T) {
 	call := isa.Inst{Op: isa.OpJal, Rd: isa.RegRA, Target: 0x3000}
 	cond := beq(0x2000)
 
-	pr0 := p.Lookup(0, 0x1000, call)
-	p.SpecUpdate(0, call, 0x1000, pr0)
+	pr0 := p.Lookup(0, 0x1000, &call)
+	p.SpecUpdate(0, &call, 0x1000, pr0)
 
 	// A conditional branch checkpoints the stack depth.
-	prB := p.Lookup(0, 0x3000, cond)
-	p.SpecUpdate(0, cond, 0x3000, prB)
+	prB := p.Lookup(0, 0x3000, &cond)
+	p.SpecUpdate(0, &cond, 0x3000, prB)
 
 	// Wrong path pushes another frame.
-	prC := p.Lookup(0, 0x2000, call)
-	p.SpecUpdate(0, call, 0x2000, prC)
+	prC := p.Lookup(0, 0x2000, &call)
+	p.SpecUpdate(0, &call, 0x2000, prC)
 
 	// Mispredict recovery must restore the stack depth.
-	p.Restore(0, cond, prB, !prB.Taken)
+	p.Restore(0, &cond, prB, !prB.Taken)
 	ret := isa.Inst{Op: isa.OpJr, Rs1: isa.RegRA}
-	pr := p.Lookup(0, 0x4000, ret)
+	pr := p.Lookup(0, 0x4000, &ret)
 	if pr.Target != 0x1000+isa.InstBytes {
 		t.Errorf("post-recovery return target = 0x%x", pr.Target)
 	}
@@ -108,9 +110,9 @@ func TestHistoryRecovery(t *testing.T) {
 	p := New(Default(1))
 	in := beq(0x2000)
 	p.ForceHist(0, 0b101)
-	pr := p.Lookup(0, 0x1000, in)
+	pr := p.Lookup(0, 0x1000, &in)
 	h0 := p.Hist(0)
-	p.SpecUpdate(0, in, 0x1000, pr)
+	p.SpecUpdate(0, &in, 0x1000, pr)
 	want0 := h0 << 1
 	if pr.Taken {
 		want0 |= 1
@@ -118,7 +120,7 @@ func TestHistoryRecovery(t *testing.T) {
 	if p.Hist(0) != want0&0x7FF {
 		t.Errorf("speculative history = %b, want %b", p.Hist(0), want0&0x7FF)
 	}
-	p.Restore(0, in, pr, true)
+	p.Restore(0, &in, pr, true)
 	want := (pr.GHist << 1) | 1
 	if p.Hist(0) != want&0x7FF {
 		t.Errorf("restored history = %b, want %b", p.Hist(0), want&0x7FF)
@@ -128,12 +130,12 @@ func TestHistoryRecovery(t *testing.T) {
 func TestBTBIndirect(t *testing.T) {
 	p := New(Default(1))
 	jr := isa.Inst{Op: isa.OpJr, Rs1: 5} // indirect, not a return
-	pr := p.Lookup(0, 0x1000, jr)
+	pr := p.Lookup(0, 0x1000, &jr)
 	if pr.Target != 0x1000+isa.InstBytes {
 		t.Errorf("cold BTB should predict fallthrough, got 0x%x", pr.Target)
 	}
-	p.Commit(0x1000, jr, pr, true, 0x5000)
-	pr = p.Lookup(0, 0x1000, jr)
+	p.Commit(0x1000, &jr, pr, true, 0x5000)
+	pr = p.Lookup(0, 0x1000, &jr)
 	if pr.Target != 0x5000 {
 		t.Errorf("BTB target after training = 0x%x", pr.Target)
 	}
@@ -151,11 +153,11 @@ func TestBTBReplacement(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		pc := uint64(0x1000 + i*2*int(isa.InstBytes)*2) // same-set stride (2 sets)
 		pcs = append(pcs, pc)
-		pr := p.Lookup(0, pc, jr)
-		p.Commit(pc, jr, pr, true, 0x7000+uint64(i))
+		pr := p.Lookup(0, pc, &jr)
+		p.Commit(pc, &jr, pr, true, 0x7000+uint64(i))
 	}
 	last := pcs[len(pcs)-1]
-	pr := p.Lookup(0, last, jr)
+	pr := p.Lookup(0, last, &jr)
 	if pr.Target != 0x7000+uint64(len(pcs)-1) {
 		t.Errorf("most recent BTB entry evicted: got 0x%x", pr.Target)
 	}
@@ -164,8 +166,8 @@ func TestBTBReplacement(t *testing.T) {
 func TestCopyContext(t *testing.T) {
 	p := New(Default(2))
 	call := isa.Inst{Op: isa.OpJal, Rd: isa.RegRA, Target: 0x3000}
-	pr := p.Lookup(0, 0x1000, call)
-	p.SpecUpdate(0, call, 0x1000, pr)
+	pr := p.Lookup(0, 0x1000, &call)
+	p.SpecUpdate(0, &call, 0x1000, pr)
 	p.ForceHist(0, 0b1011)
 
 	p.CopyContext(1, 0)
@@ -173,8 +175,44 @@ func TestCopyContext(t *testing.T) {
 		t.Errorf("copied history = %b", p.Hist(1))
 	}
 	ret := isa.Inst{Op: isa.OpJr, Rs1: isa.RegRA}
-	prr := p.Lookup(1, 0x3000, ret)
+	prr := p.Lookup(1, 0x3000, &ret)
 	if prr.Target != 0x1000+isa.InstBytes {
 		t.Errorf("copied return stack target = 0x%x", prr.Target)
+	}
+}
+
+// The PHT and the BTB sets are indexed by mask and shift, so New
+// rejects a PHT size or BTB set count that is not a power of two; the
+// BTB associativity and the return-stack depth are free.
+func TestGeometryPowerOfTwo(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Config)
+		ok     bool
+	}{
+		{"default", func(*Config) {}, true},
+		{"three-way BTB", func(c *Config) { c.BTBEntries, c.BTBAssoc = 12, 3 }, true},
+		{"PHT 1000", func(c *Config) { c.PHTEntries = 1000 }, false},
+		{"PHT 0", func(c *Config) { c.PHTEntries = 0 }, false},
+		{"three BTB sets", func(c *Config) { c.BTBEntries, c.BTBAssoc = 12, 4 }, false},
+		{"no BTB sets", func(c *Config) { c.BTBEntries = 2 }, false},
+		{"zero BTB associativity", func(c *Config) { c.BTBAssoc = 0 }, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Default(2)
+			tc.mutate(&cfg)
+			defer func() {
+				r := recover()
+				switch {
+				case tc.ok && r != nil:
+					t.Errorf("panicked: %v", r)
+				case !tc.ok && r == nil:
+					t.Error("accepted")
+				case !tc.ok && !strings.HasPrefix(fmt.Sprint(r), "bpred: bad geometry"):
+					t.Errorf("panic %q, want the bad-geometry message", r)
+				}
+			}()
+			New(cfg)
+		})
 	}
 }

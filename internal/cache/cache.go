@@ -11,6 +11,8 @@
 //	and another 62 to memory.
 package cache
 
+import "math/bits"
+
 // Params configures one cache level.
 type Params struct {
 	Name      string
@@ -34,19 +36,26 @@ type line struct {
 	lru   uint64
 }
 
-// Cache is a single set-associative, banked, timing-only cache.
+// Cache is a single set-associative, banked, timing-only cache.  The
+// line size, set count and bank count are powers of two (New checks),
+// so indexing is shifts and masks precomputed from them.
 type Cache struct {
-	p       Params
-	sets    int
-	lines   []line   // sets*assoc, way-major within a set
-	bankCyc []uint64 // cycle of the bank's last use
-	bankCnt []int    // accesses to the bank in that cycle
-	clock   uint64
-	Stats   Stats
+	p         Params
+	lineShift uint     // log2(LineBytes): address to line address
+	setShift  uint     // log2(sets): line address to tag
+	setMask   uint64   // sets-1: line address to set
+	bankMask  uint64   // banks-1: line address to bank
+	lines     []line   // sets*assoc, way-major within a set
+	bankCyc   []uint64 // cycle of the bank's last use
+	bankCnt   []int    // accesses to the bank in that cycle
+	clock     uint64
+	Stats     Stats
 }
 
-// New builds a cache from params; it panics on non-positive geometry
-// since configurations are static and a bad one is a programming error.
+// New builds a cache from params.  It panics on non-positive geometry,
+// and on a line size, set count or bank count that is not a power of
+// two (indexing is by shift and mask), since configurations are static
+// and a bad one is a programming error.
 func New(p Params) *Cache {
 	if p.SizeBytes <= 0 || p.LineBytes <= 0 || p.Assoc <= 0 {
 		panic("cache: bad geometry for " + p.Name)
@@ -59,14 +68,22 @@ func New(p Params) *Cache {
 	if banks <= 0 {
 		banks = 1
 	}
+	if !isPow2(p.LineBytes) || !isPow2(sets) || !isPow2(banks) {
+		panic("cache: bad geometry for " + p.Name + ": line size, set count and bank count must be powers of two")
+	}
 	return &Cache{
-		p:       p,
-		sets:    sets,
-		lines:   make([]line, sets*p.Assoc),
-		bankCyc: make([]uint64, banks),
-		bankCnt: make([]int, banks),
+		p:         p,
+		lineShift: uint(bits.TrailingZeros(uint(p.LineBytes))),
+		setShift:  uint(bits.TrailingZeros(uint(sets))),
+		setMask:   uint64(sets - 1),
+		bankMask:  uint64(banks - 1),
+		lines:     make([]line, sets*p.Assoc),
+		bankCyc:   make([]uint64, banks),
+		bankCnt:   make([]int, banks),
 	}
 }
+
+func isPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
 
 // Clone returns a deep copy of the cache: tag array, bank state, and
 // statistics.  Sampled simulation snapshots functionally warmed caches
@@ -89,11 +106,11 @@ func (c *Cache) CloneInto(dst *Cache) {
 }
 
 // Sets returns the number of sets (exported for tests).
-func (c *Cache) Sets() int { return c.sets }
+func (c *Cache) Sets() int { return int(c.setMask) + 1 }
 
 func (c *Cache) setAndTag(addr uint64) (int, uint64) {
-	lineAddr := addr / uint64(c.p.LineBytes)
-	return int(lineAddr % uint64(c.sets)), lineAddr / uint64(c.sets)
+	lineAddr := addr >> c.lineShift
+	return int(lineAddr & c.setMask), lineAddr >> c.setShift
 }
 
 // Lookup probes the cache at cycle `now`.  It returns whether the line
@@ -108,7 +125,7 @@ func (c *Cache) Lookup(now uint64, addr uint64) (hit bool, bankDelay uint64) {
 	// same-cycle access to a bank is delayed k cycles.  Delayed
 	// accesses are assumed not to re-contend (the conflict window is a
 	// cycle, so queues cannot build up across cycles).
-	bank := int(addr / uint64(c.p.LineBytes) % uint64(len(c.bankCyc)))
+	bank := int(addr >> c.lineShift & c.bankMask)
 	if c.bankCyc[bank] != now {
 		c.bankCyc[bank] = now
 		c.bankCnt[bank] = 0

@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -173,4 +175,37 @@ func TestBadGeometryPanics(t *testing.T) {
 		}
 	}()
 	New(Params{Name: "bad"})
+}
+
+// Indexing is by shift and mask, so New rejects any line size, set
+// count or bank count that is not a power of two; associativity is
+// free.
+func TestGeometryPowerOfTwo(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		p    Params
+		ok   bool
+	}{
+		{"baseline", small(), true},
+		{"no banking", Params{Name: "t", SizeBytes: 1024, LineBytes: 64, Assoc: 2}, true},
+		{"three ways", Params{Name: "t", SizeBytes: 768, LineBytes: 64, Assoc: 3, Banks: 2}, true},
+		{"line size 48", Params{Name: "t", SizeBytes: 768, LineBytes: 48, Assoc: 2, Banks: 2}, false},
+		{"three sets", Params{Name: "t", SizeBytes: 384, LineBytes: 64, Assoc: 2, Banks: 2}, false},
+		{"six banks", Params{Name: "t", SizeBytes: 1024, LineBytes: 64, Assoc: 2, Banks: 6}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				r := recover()
+				switch {
+				case tc.ok && r != nil:
+					t.Errorf("panicked: %v", r)
+				case !tc.ok && r == nil:
+					t.Error("accepted")
+				case !tc.ok && !strings.HasPrefix(fmt.Sprint(r), "cache: bad geometry for t"):
+					t.Errorf("panic %q, want the bad-geometry message", r)
+				}
+			}()
+			New(tc.p)
+		})
+	}
 }

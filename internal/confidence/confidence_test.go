@@ -1,6 +1,10 @@
 package confidence
 
-import "testing"
+import (
+	"fmt"
+	"strings"
+	"testing"
+)
 
 func TestColdIsLowConfidence(t *testing.T) {
 	e := New(Default())
@@ -72,5 +76,31 @@ func TestTableAliasing(t *testing.T) {
 	alias := uint64(0x1000 + 4*4)
 	if !e.HighConfidence(alias, 0) {
 		t.Error("aliasing PCs share a counter in a tiny table")
+	}
+}
+
+// The table is indexed by mask, so New rejects a size that is not a
+// power of two.
+func TestGeometryPowerOfTwo(t *testing.T) {
+	for _, tc := range []struct {
+		entries int
+		ok      bool
+	}{
+		{1024, true}, {4, true}, {1, true}, {1000, false}, {0, false}, {-4, false},
+	} {
+		t.Run(fmt.Sprint(tc.entries), func(t *testing.T) {
+			defer func() {
+				r := recover()
+				switch {
+				case tc.ok && r != nil:
+					t.Errorf("panicked: %v", r)
+				case !tc.ok && r == nil:
+					t.Error("accepted")
+				case !tc.ok && !strings.HasPrefix(fmt.Sprint(r), "confidence: bad geometry"):
+					t.Errorf("panic %q, want the bad-geometry message", r)
+				}
+			}()
+			New(Config{Entries: tc.entries, Max: 15, Threshold: 4})
+		})
 	}
 }

@@ -75,7 +75,7 @@ func (c *Core) commitOne(t *Context) bool {
 		// is part of the modelled hardware (the confidence table is
 		// tagged because forking the wrong program's branch would
 		// corrupt the fork statistics rather than just a prediction).
-		c.pred.Commit(e.PC, *in, e.Pred, e.Taken, e.NextPC)
+		c.pred.Commit(e.PC, in, e.Pred, e.Taken, e.NextPC)
 		if in.IsCondBranch() {
 			c.conf.Update(c.tagAddr(lp.idx, e.PC), e.Pred.GHist, e.Taken == e.Pred.Taken)
 		}

@@ -143,12 +143,12 @@ func (c *Core) fetch() {
 
 // pushFetch appends one decoded instruction to the context's fetch
 // queue; cycle stamps when it entered (the pipetrace fetch stage).
-func (t *Context) pushFetch(cycle, pc uint64, in isa.Inst, readyAt uint64) *fqEntry {
+func (t *Context) pushFetch(cycle, pc uint64, in *isa.Inst, readyAt uint64) *fqEntry {
 	// Field by field: a composite literal would be built on the stack
 	// and block-copied into the ring for every fetched instruction.
 	fe := t.fqPush()
 	fe.pc = pc
-	fe.inst = in
+	fe.inst = *in
 	fe.pred = bpred.Pred{}
 	fe.fetchCycle = cycle
 	fe.readyAt = readyAt
@@ -360,7 +360,7 @@ func (c *Core) buildStream(t *Context, items []streamItem, srcCtx int, back bool
 		if !it.inst.IsBranch() {
 			continue
 		}
-		pr := c.pred.Lookup(t.id, it.pc, it.inst)
+		pr := c.pred.Lookup(t.id, it.pc, &it.inst)
 		if c.feat.TrustTrace {
 			// §3.4's former method: "the branch prediction previously
 			// used for the recycled instructions can be used" — follow
@@ -371,7 +371,7 @@ func (c *Core) buildStream(t *Context, items []streamItem, srcCtx int, back bool
 				pr.Target = it.traceTgt
 			}
 			it.pred = pr
-			c.pred.SpecUpdate(t.id, it.inst, it.pc, pr)
+			c.pred.SpecUpdate(t.id, &it.inst, it.pc, pr)
 			continue
 		}
 		it.pred = pr
@@ -381,7 +381,7 @@ func (c *Core) buildStream(t *Context, items []streamItem, srcCtx int, back bool
 		} else if pr.Target != it.traceTgt {
 			mismatch = true
 		}
-		c.pred.SpecUpdate(t.id, it.inst, it.pc, pr)
+		c.pred.SpecUpdate(t.id, &it.inst, it.pc, pr)
 		if mismatch {
 			items = items[:i+1]
 			if pr.Taken {

@@ -342,3 +342,25 @@ func TestReseedValidation(t *testing.T) {
 		t.Error("rejected Reseed modified the core")
 	}
 }
+
+// Every design point builds the models the core constructs for it:
+// the power-of-two geometry checks in cache.New, bpred.New and
+// confidence.New accept each machine's cache scaling and context count.
+func TestEveryMachineBuildsModels(t *testing.T) {
+	p, err := workload.ByName("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, mach := range config.Machines() {
+		c, err := New(mach, config.RECRSRU, []*program.Program{p})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if c.pred == nil || c.conf == nil || c.mem == nil {
+			t.Fatalf("%s: core built without its models", name)
+		}
+		if got, want := c.mem.IL1.Sets(), 1024/mach.CacheScale; got != want {
+			t.Errorf("%s: IL1 has %d sets, want %d", name, got, want)
+		}
+	}
+}

@@ -262,7 +262,7 @@ func (c *Core) resolveBranch(t *Context, e *alist.Entry) {
 	if !correct {
 		// Conventional misprediction recovery within this context.
 		c.squashFrom(t.id, e.Seq+1)
-		c.pred.Restore(t.id, *in, e.Pred, e.Taken)
+		c.pred.Restore(t.id, in, e.Pred, e.Taken)
 		t.fetchPC = e.NextPC
 		t.fetchStallUntil = c.cycle + redirectPenalty
 		t.fetchHalted = false

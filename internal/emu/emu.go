@@ -55,51 +55,57 @@ func (e *Emulator) Step() StepInfo {
 // StepInto is Step writing into a caller-owned record, so the
 // fast-forward loop of sampled simulation (internal/sample) executes
 // tens of millions of instructions without allocating.  Every StepInfo
-// field is overwritten.
+// field is overwritten, one at a time: a composite-literal store of the
+// whole record is built on the stack and copied, and that copy stalls
+// on the stores that fill it.
 //
 // The doc directive below roots the hotalloc analyzer here: StepInto
-// and everything it transitively calls must stay allocation-free (the
-// sparse-memory map assignment on the store path amortizes growth and
-// is not an allocating construct).
+// and everything it transitively calls must stay allocation-free (a
+// store's first touch of a memory page is the one allocation, made
+// off the budget in program.Memory's coldpath helper).
 //
 //recycle:hotpath
 func (e *Emulator) StepInto(info *StepInfo) {
 	in := e.Prog.FetchInst(e.PC)
-	*info = StepInfo{PC: e.PC, Inst: in}
+	info.PC = e.PC
+	info.Result = 0
+	info.Addr = 0
+	info.Taken = false
 	if e.Halted || in.IsHalt() {
 		e.Halted = true
 		info.Inst = isa.Inst{Op: isa.OpHalt}
 		info.Next = e.PC
 		return
 	}
+	info.Inst = *in
 
 	// The zero register is never written (WritesReg and the load path
 	// both exclude it), so Regs[RegZero] reads as the architectural 0.
 	s1, s2 := e.Regs[in.Rs1], e.Regs[in.Rs2]
 	next := e.PC + isa.InstBytes
 
-	switch {
-	case in.IsLoad():
-		info.Addr = isa.EffAddr(in, s1)
+	switch in.Class() {
+	case isa.ClassLoad:
+		info.Addr = isa.EffAddr(*in, s1)
 		info.Result = e.Mem.Read(info.Addr)
 		if in.Rd != isa.RegZero {
 			e.Regs[in.Rd] = info.Result
 		}
-	case in.IsStore():
-		info.Addr = isa.EffAddr(in, s1)
+	case isa.ClassStore:
+		info.Addr = isa.EffAddr(*in, s1)
 		e.Mem.Write(info.Addr, s2)
-	case in.IsBranch():
-		info.Taken = isa.BranchTaken(in, s1, s2)
+	case isa.ClassBranch:
+		info.Taken = isa.BranchTaken(*in, s1, s2)
 		if in.WritesReg() {
-			info.Result = isa.Eval(in, e.PC, s1, s2)
+			info.Result = isa.Eval(*in, e.PC, s1, s2)
 			e.Regs[in.Rd] = info.Result
 		}
 		if info.Taken {
-			next = isa.BranchTarget(in, s1)
+			next = isa.BranchTarget(*in, s1)
 		}
 	default:
 		if in.WritesReg() {
-			info.Result = isa.Eval(in, e.PC, s1, s2)
+			info.Result = isa.Eval(*in, e.PC, s1, s2)
 			e.Regs[in.Rd] = info.Result
 		}
 	}
@@ -113,8 +119,9 @@ func (e *Emulator) StepInto(info *StepInfo) {
 // number retired.
 func (e *Emulator) Run(max uint64) uint64 {
 	var n uint64
+	var info StepInfo
 	for n < max && !e.Halted {
-		e.Step()
+		e.StepInto(&info)
 		n++
 	}
 	return n
@@ -130,9 +137,8 @@ func (e *Emulator) Trace(max uint64) []StepInfo {
 func (e *Emulator) TraceInto(buf []StepInfo, max uint64) []StepInfo {
 	buf = buf[:0]
 	for uint64(len(buf)) < max && !e.Halted {
-		var info StepInfo
-		e.StepInto(&info)
-		buf = append(buf, info)
+		buf = append(buf, StepInfo{})
+		e.StepInto(&buf[len(buf)-1])
 	}
 	return buf
 }

@@ -6,9 +6,7 @@
 package program
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"recyclesim/internal/isa"
 )
@@ -44,13 +42,18 @@ func (p *Program) PCToIndex(pc uint64) (int, bool) {
 	return idx, true
 }
 
-// FetchInst returns the instruction at pc.  Fetching outside the text
+// haltInst is what FetchInst returns outside the text segment.
+var haltInst = isa.Inst{Op: isa.OpHalt}
+
+// FetchInst returns the instruction at pc by pointer into the text, so
+// the emulator and the fetch stage read it in place instead of copying
+// it out; callers must not modify it.  Fetching outside the text
 // segment returns a halt so wrong-path execution stays well-defined.
-func (p *Program) FetchInst(pc uint64) isa.Inst {
+func (p *Program) FetchInst(pc uint64) *isa.Inst {
 	if idx, ok := p.PCToIndex(pc); ok {
-		return p.Code[idx]
+		return &p.Code[idx]
 	}
-	return isa.Inst{Op: isa.OpHalt}
+	return &haltInst
 }
 
 // EndPC returns the PC one instruction past the last code word.
@@ -73,84 +76,4 @@ func (p *Program) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Memory is a sparse 64-bit-word data memory.  Addresses are byte
-// addresses; accesses are 8-byte, 8-byte-aligned words (the workloads
-// and assembler only generate aligned traffic; unaligned addresses are
-// truncated to alignment, which keeps wrong-path garbage harmless).
-type Memory struct {
-	words map[uint64]uint64
-}
-
-// NewMemory creates a memory initialized from the program's data image.
-func NewMemory(p *Program) *Memory {
-	m := &Memory{words: make(map[uint64]uint64, len(p.Data)+64)}
-	m.Reset(p)
-	return m
-}
-
-// Reset returns m to the program's initial data image, keeping the
-// map's storage, so a memory reused across sampled intervals does not
-// regrow from empty each time.
-func (m *Memory) Reset(p *Program) {
-	clear(m.words)
-	//simlint:ignore determinism puresim -- keys land in a map again; align maps distinct keys to distinct slots, so insertion order is immaterial
-	for a, v := range p.Data {
-		m.words[align(a)] = v
-	}
-}
-
-func align(addr uint64) uint64 { return addr &^ 7 }
-
-// Read returns the word at addr (zero if never written).
-func (m *Memory) Read(addr uint64) uint64 { return m.words[align(addr)] }
-
-// Write stores the word at addr.
-func (m *Memory) Write(addr, val uint64) { m.words[align(addr)] = val }
-
-// Footprint returns the number of distinct words touched.
-func (m *Memory) Footprint() int { return len(m.words) }
-
-// Clone returns an independent copy of the memory (used by the golden
-// emulator when co-simulating against the core).
-func (m *Memory) Clone() *Memory {
-	c := &Memory{words: make(map[uint64]uint64, len(m.words))}
-	for a, v := range m.words {
-		c.words[a] = v
-	}
-	return c
-}
-
-// Word is one addressed memory word; checkpoint deltas are slices of
-// Words sorted by address.
-type Word struct {
-	Addr uint64
-	Val  uint64
-}
-
-// AppendDelta appends to dst the words of m whose values differ from
-// base, sorted by address, and returns the extended slice; a caller
-// capturing checkpoints repeatedly reuses one buffer this way.  m must
-// derive from base by writes only (memories only grow and writes never
-// remove words, so m's key set is a superset of the keys it shares
-// with base); the delta applied to a clone of base with Apply
-// reproduces m exactly.
-func (m *Memory) AppendDelta(dst []Word, base *Memory) []Word {
-	n := len(dst)
-	//simlint:ignore determinism puresim -- the delta is sorted by address immediately below
-	for a, v := range m.words {
-		if base.words[a] != v {
-			dst = append(dst, Word{Addr: a, Val: v})
-		}
-	}
-	slices.SortFunc(dst[n:], func(a, b Word) int { return cmp.Compare(a.Addr, b.Addr) })
-	return dst
-}
-
-// Apply writes the delta words into m.
-func (m *Memory) Apply(delta []Word) {
-	for _, w := range delta {
-		m.words[align(w.Addr)] = w.Val
-	}
 }

@@ -7,6 +7,7 @@ import (
 	"recyclesim/internal/config"
 	"recyclesim/internal/core"
 	"recyclesim/internal/emu"
+	"recyclesim/internal/isa"
 )
 
 // warmupLine is the I-side granularity of functional warmup: one
@@ -99,8 +100,9 @@ func (w *Warmup) Observe(si *emu.StepInfo) {
 		w.haveLine = true
 	}
 
-	in := si.Inst
-	if in.IsBranch() {
+	in := &si.Inst
+	switch in.Class() {
+	case isa.ClassBranch:
 		pr := w.Pred.Lookup(0, si.PC, in)
 		w.Pred.SpecUpdate(0, in, si.PC, pr)
 		correct := pr.Taken == si.Taken && (!si.Taken || pr.Target == si.Next)
@@ -111,9 +113,7 @@ func (w *Warmup) Observe(si *emu.StepInfo) {
 		if in.IsCondBranch() {
 			w.Conf.Update(core.TagAddr(w.progIdx, si.PC), pr.GHist, pr.Taken == si.Taken)
 		}
-	}
-
-	if in.IsMem() {
+	case isa.ClassLoad, isa.ClassStore:
 		w.Mem.AccessD(w.now, core.TagAddr(w.progIdx, si.Addr))
 	}
 }
